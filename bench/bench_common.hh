@@ -52,9 +52,6 @@ standardArgs(const std::string &description,
                    "host-interface queue depth (NCQ-style dispatch "
                    "contexts; 1 reproduces the classic serialized "
                    "dispatcher)");
-    args.addOption("engine", "serial",
-                   "event-engine strategy: serial | epoch "
-                   "(execution only; results are byte-identical)");
     args.addOption("csv", "", "also write the series to this CSV file");
     args.addOption("jobs", "1",
                    "experiment cells to run concurrently (0 = one "

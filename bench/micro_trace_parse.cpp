@@ -4,7 +4,7 @@
  * frontend: records/s through each streaming parser (FIU blkio, MSR
  * CSV, generic CSV), the full adapter chain (split + fingerprint
  * synthesis + compaction), and — after the microbenches — a
- * streamed-vs-materialized replay comparison on a one-million-record
+ * prefetched-vs-inline replay comparison on a one-million-record
  * fixture, the wall-clock and allocation numbers behind the
  * bounded-memory replay claim (DESIGN.md section 7.16).
  */
@@ -290,9 +290,9 @@ BM_AdapterChain(benchmark::State &state)
 }
 
 /**
- * Replay the one-million-record fixture streamed and materialized
- * and report wall clock plus allocator traffic for both: the same
- * byte-identical result, with the streamed path's heap bounded by
+ * Replay the one-million-record fixture with and without decode-ahead
+ * prefetch and report wall clock plus allocator traffic for both:
+ * the same byte-identical result, with either path's heap bounded by
  * the footprint instead of the trace.
  */
 void
@@ -312,7 +312,7 @@ reportReplayComparison()
         std::uint64_t allocs;
         std::uint64_t requests;
     };
-    enum Mode { Prefetch, Streamed, Materialized, kModes };
+    enum Mode { Prefetch, Streamed, kModes };
     Row rows[kModes];
     for (int mode = 0; mode < kModes; ++mode) {
         SsdConfig ssd_cfg = SsdConfig::forFootprint(
@@ -321,27 +321,17 @@ reportReplayComparison()
         const std::uint64_t allocs_before = heapAllocCount();
         const auto start = std::chrono::steady_clock::now();
         Ssd ssd(ssd_cfg);
-        std::uint64_t requests = 0;
-        if (mode == Prefetch) {
-            const auto src =
-                maybePrefetch(scan.factory(),
-                              PrefetchSource::kDefaultBatch);
-            ssd.run(*src);
-        } else if (mode == Streamed) {
-            const auto src = scan.factory();
-            ssd.run(*src);
-        } else {
-            const auto src = scan.factory();
-            const auto records = drainSource(*src);
-            ssd.run(records);
-        }
-        requests = ssd.result().requests;
+        const auto src = maybePrefetch(
+            scan.factory(),
+            mode == Prefetch ? PrefetchSource::kDefaultBatch : 0);
+        ssd.run(*src);
+        const std::uint64_t requests = ssd.result().requests;
         const double wall_s =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
                 .count();
         static const char *const kNames[kModes] = {
-            "prefetch", "streamed-inline", "materialized"};
+            "prefetch", "streamed-inline"};
         rows[mode] = Row{kNames[mode], wall_s,
                          heapAllocCount() - allocs_before, requests};
     }
@@ -389,11 +379,9 @@ main(int argc, char **argv)
     bench::paperShape(
         "all three parsers sustain millions of records/s, so ingest "
         "never gates replay, and gzip decode costs only a modest "
-        "fraction of the plain-text line rate; the prefetched, "
-        "inline-streamed and materialized runs finish in comparable "
-        "wall time with identical results, but the streaming paths' "
-        "allocator traffic is footprint-sized while the materialized "
-        "path pays an extra O(trace) for the record vector — the gap "
-        "that makes 10-100M-request replays fit in memory.");
+        "fraction of the plain-text line rate; the prefetched and "
+        "inline-streamed runs finish in comparable wall time with "
+        "identical results and footprint-sized allocator traffic — "
+        "what makes 10-100M-request replays fit in memory.");
     return 0;
 }

@@ -50,7 +50,6 @@ standardOptions(const ArgParser &args)
         scaledPool(opts.requests, args.getDouble("pool-frac"));
     opts.queueDepth =
         static_cast<std::uint32_t>(args.getUint("queue-depth"));
-    opts.engine = args.getString("engine");
     opts.statsInterval = ticksFromUs(args.getDouble("stats-interval"));
     opts.traceLimit = args.getUint("span-limit");
     opts.statsCsv = args.getString("stats-csv");
@@ -292,10 +291,10 @@ reportWallClock(const std::vector<WorkloadRow> &rows, unsigned jobs)
 }
 
 /**
- * Optional --wall-json export consumed by scripts/bench_report.sh:
- * one record per cell with wall seconds, requests/sec, engine
- * events/sec and the heap-allocation count (exact at --jobs 1; see
- * WorkloadRow::heapAllocs for the concurrency caveat).
+ * Optional --wall-json export: one record per cell with wall
+ * seconds, requests/sec, engine events/sec and the heap-allocation
+ * count (exact at --jobs 1; see WorkloadRow::heapAllocs for the
+ * concurrency caveat).
  */
 inline void
 maybeWriteWallJson(const ArgParser &args,
@@ -330,10 +329,6 @@ maybeWriteWallJson(const ArgParser &args,
                      "\"reqs_per_s\": %.1f, \"events\": %llu, "
                      "\"events_per_s\": %.1f, "
                      "\"heap_allocs\": %llu, "
-                     "\"epochs\": %llu, "
-                     "\"rolled_back_epochs\": %llu, "
-                     "\"sharded_bursts\": %llu, "
-                     "\"serial_forced\": %llu, "
                      "\"p99_9_us\": %.3f, \"max_us\": %.3f}",
                      first ? "" : ",\n", toString(w).c_str(),
                      label.c_str(), seconds,
@@ -342,12 +337,6 @@ maybeWriteWallJson(const ArgParser &args,
                      static_cast<unsigned long long>(r.events),
                      erate,
                      static_cast<unsigned long long>(allocs),
-                     static_cast<unsigned long long>(r.epochs),
-                     static_cast<unsigned long long>(
-                         r.rolledBackEpochs),
-                     static_cast<unsigned long long>(r.shardedBursts),
-                     static_cast<unsigned long long>(
-                         r.serialForcedBursts),
                      static_cast<double>(
                          r.allLatency.percentile(0.999)) / 1e3,
                      static_cast<double>(

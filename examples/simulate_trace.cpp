@@ -4,12 +4,13 @@
  * external tool emitting the same format) or a generated preset —
  * through a chosen system and print the full result statistics.
  *
- * External block traces (FIU SRCMap blkio, MSR-Cambridge CSV, or a
- * generic "lba,size,op,ts" CSV) replay through the streaming ingest
- * path (trace/adapters.hh): records are parsed, 4KB-split,
- * fingerprinted and admitted as the simulated clock reaches them,
- * so memory stays bounded by the drive footprint even at 10-100M
- * requests.
+ * Every trace replays through the one admission pump, Ssd::run:
+ * records are admitted as the simulated clock reaches them. External
+ * block traces (FIU SRCMap blkio, MSR-Cambridge CSV, or a generic
+ * "lba,size,op,ts" CSV) stream through the ingest path
+ * (trace/adapters.hh): records are parsed, 4KB-split, fingerprinted
+ * and admitted without ever being held in memory, so memory stays
+ * bounded by the drive footprint even at 10-100M requests.
  *
  * Examples:
  *   ./simulate_trace --workload web --system dvp+dedup
@@ -62,10 +63,6 @@ main(int argc, char **argv)
     args.addFlag("msr-disk-tenants",
                  "route each source device (MSR DiskNumber) onto "
                  "its own tenant namespace");
-    args.addFlag("materialize",
-                 "load the whole external trace into memory before "
-                 "replay (differential-testing reference; "
-                 "byte-identical to the streamed default)");
     args.addFlag("no-summary",
                  "skip the value-distinct trace summary (saves "
                  "O(distinct values) memory on huge traces)");
@@ -81,7 +78,7 @@ main(int argc, char **argv)
     args.addOption("grid", "",
                    "scan-once parameter sweep over the external "
                    "trace, e.g. \"system=dvp,dedup;depth=1,32\" "
-                   "(axes: system|depth|gc|engine|pool)");
+                   "(axes: system|depth|gc|pool)");
     args.addOption("jobs", "1",
                    "grid cells to run concurrently (0 = one per "
                    "hardware thread)");
@@ -98,15 +95,9 @@ main(int argc, char **argv)
     args.addOption("queue-depth", "1",
                    "host-interface queue depth (NCQ dispatch "
                    "contexts)");
-    args.addOption("shards", "1",
-                   "flash-phase shards (channel-parallel GC issue; "
-                   "byte-identical to 1)");
-    args.addOption("engine", "serial",
-                   "event-engine strategy: serial | epoch "
-                   "(byte-identical results)");
     args.addOption("wall-json", "",
-                   "write wall-clock/throughput JSON (events, "
-                   "events/s, epoch + shard counters)");
+                   "write wall-clock/throughput JSON (requests/s, "
+                   "events, events/s)");
     args.addOption("tenants", "1",
                    "tenant count; >1 splits a generated workload "
                    "into per-namespace streams");
@@ -139,7 +130,7 @@ main(int argc, char **argv)
     // External-trace streaming path: scan once (footprint + summary
     // + compaction map), then replay through the same adapter chain.
     ScannedTrace scan;
-    bool stream_replay = false;
+    bool external = false;
     if (const std::string path = args.getString("trace-file");
         !path.empty()) {
         if (tenants > 1)
@@ -162,12 +153,7 @@ main(int argc, char **argv)
         if (scan.records == 0)
             zombie_fatal("trace is empty: ", path);
         label = path + " (" + toString(tcfg.format) + ")";
-        if (args.getFlag("materialize")) {
-            const auto src = scan.factory();
-            records = drainSource(*src);
-        } else {
-            stream_replay = true;
-        }
+        external = true;
     } else if (const std::string native = args.getString("trace");
                !native.empty()) {
         if (tenants > 1)
@@ -196,17 +182,14 @@ main(int argc, char **argv)
     // byte-identical to a standalone run of that configuration.
     if (const std::string grid_text = args.getString("grid");
         !grid_text.empty()) {
-        if (!stream_replay)
+        if (!external)
             zombie_fatal("--grid sweeps an external trace; it needs "
-                         "--trace-file (and not --materialize)");
+                         "--trace-file");
         const GridSpec spec = parseGridSpec(grid_text);
         ExperimentOptions gopts;
         gopts.poolCapacity = args.getUint("pool");
         gopts.queueDepth =
             static_cast<std::uint32_t>(args.getUint("queue-depth"));
-        gopts.shards =
-            static_cast<std::uint32_t>(args.getUint("shards"));
-        gopts.engine = args.getString("engine");
         gopts.arbiter = args.getString("arbiter");
         gopts.dvpScope = args.getString("dvp-scope");
         gopts.prefetchBatch =
@@ -255,13 +238,13 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!stream_replay && records.empty())
+    if (!external && records.empty())
         zombie_fatal("trace is empty");
 
     // Size the drive from the trace's address footprint.
     TraceSummary summary;
     Lpn footprint = 0;
-    if (scan.records > 0) {
+    if (external) {
         summary = scan.summary;
         footprint = scan.footprintPages;
     } else {
@@ -277,8 +260,6 @@ main(int argc, char **argv)
     cfg.mq.capacity = args.getUint("pool");
     cfg.queueDepth =
         static_cast<std::uint32_t>(args.getUint("queue-depth"));
-    cfg.shards = static_cast<std::uint32_t>(args.getUint("shards"));
-    cfg.engineMode = engineModeFromString(args.getString("engine"));
     cfg.tenants = tenants;
     if (scan.tenantPages.size() > 1) {
         // --msr-disk-tenants: the scan routed devices onto tenant
@@ -308,17 +289,17 @@ main(int argc, char **argv)
 
     Ssd ssd(cfg);
     const auto wall_start = std::chrono::steady_clock::now();
-    if (stream_replay) {
+    std::unique_ptr<TraceSource> src;
+    if (external) {
         const std::size_t prefetch_batch =
             args.getFlag("no-prefetch")
                 ? 0
                 : static_cast<std::size_t>(args.getUint("prefetch"));
-        const auto src =
-            maybePrefetch(scan.factory(), prefetch_batch);
-        ssd.run(*src);
+        src = maybePrefetch(scan.factory(), prefetch_batch);
     } else {
-        ssd.run(records);
+        src = std::make_unique<VectorSource>(std::move(records));
     }
+    ssd.run(*src);
     const SimResult result = ssd.result();
     const double wall_s =
         std::chrono::duration<double>(
@@ -385,45 +366,28 @@ main(int argc, char **argv)
     write_to(args.getString("dump-stats"), [&ssd](std::ostream &os) {
         ssd.statRegistry().dump(os);
     });
-    // Wall-clock/throughput record for the single-trace probe. The
-    // execution-strategy counters make silent fallbacks visible: a
-    // sharded run with sharded_bursts == 0 or an epoch run with
-    // epochs == 0 got no parallel/speculative work at all.
+    // Wall-clock/throughput record of the run (host time only).
     write_to(args.getString("wall-json"), [&](std::ostream &os) {
-        const auto u64 = [](std::uint64_t v) {
-            return static_cast<unsigned long long>(v);
-        };
         char buf[768];
         std::snprintf(
             buf, sizeof(buf),
             "{\n"
             "  \"trace\": \"%s\",\n"
             "  \"requests\": %llu,\n"
-            "  \"engine\": \"%s\",\n"
-            "  \"shards\": %llu,\n"
             "  \"wall_s\": %.3f,\n"
             "  \"reqs_per_s\": %.1f,\n"
             "  \"events\": %llu,\n"
-            "  \"events_per_s\": %.1f,\n"
-            "  \"epochs\": %llu,\n"
-            "  \"rolled_back_epochs\": %llu,\n"
-            "  \"speculated_events\": %llu,\n"
-            "  \"sharded_bursts\": %llu,\n"
-            "  \"serial_forced\": %llu\n"
+            "  \"events_per_s\": %.1f\n"
             "}\n",
-            label.c_str(), u64(result.requests),
-            toString(cfg.engineMode).c_str(), u64(cfg.shards),
-            wall_s,
+            label.c_str(),
+            static_cast<unsigned long long>(result.requests), wall_s,
             wall_s > 0.0 ? static_cast<double>(result.requests) /
                                wall_s
                          : 0.0,
-            u64(result.events),
+            static_cast<unsigned long long>(result.events),
             wall_s > 0.0 ? static_cast<double>(result.events) /
                                wall_s
-                         : 0.0,
-            u64(result.epochs), u64(result.rolledBackEpochs),
-            u64(result.speculatedEvents), u64(result.shardedBursts),
-            u64(result.serialForcedBursts));
+                         : 0.0);
         os << buf;
     });
     return 0;

@@ -14,13 +14,11 @@ ResourceModel::ResourceModel(const Geometry &geometry,
       dieBusyUntil(geom.totalDies(), 0),
       channelBusyTotal(geom.channels(), 0),
       dieBusyTotal(geom.totalDies(), 0),
-      dieOutstanding(geom.totalDies()), backlogHigh(geom.totalDies(), 0)
+      dieOutstanding(geom.totalDies())
 {
     // Group size for the busy-until minima: halve the per-channel
     // die count down to <= 16 dies per group so a group rescan stays
-    // within a couple of cache lines, but never split a channel
-    // unevenly (groups must tile channels exactly for the sharded
-    // flash phase to stay race-free).
+    // within a couple of cache lines; groups tile channels exactly.
     groupDies = geom.diesPerChip() * geom.chipsPerChannel();
     while (groupDies > 16 && groupDies % 2 == 0)
         groupDies /= 2;
@@ -192,17 +190,7 @@ ResourceModel::noteDieIssue(std::uint64_t die, Tick issued,
     while (!out.empty() && out.front() <= issued)
         out.pop_front();
     out.push_back(completion);
-    if (out.size() > backlogHigh[die])
-        backlogHigh[die] = out.size();
-}
-
-std::uint64_t
-ResourceModel::maxDieBacklog() const
-{
-    std::uint64_t high = 0;
-    for (const std::uint64_t h : backlogHigh)
-        high = std::max(high, h);
-    return high;
+    backlogHigh = std::max<std::uint64_t>(backlogHigh, out.size());
 }
 
 std::uint32_t

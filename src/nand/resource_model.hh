@@ -69,8 +69,7 @@ class ResourceModel
      * Raw view of the per-group die busy-until minima, one entry per
      * group of dieGroupDies() consecutive dies in flat die order.
      * Groups never span channels (the group size divides the
-     * per-channel die count), so the index stays correct under the
-     * channel-sharded flash phase. Like dieBusyTable(), sized at
+     * per-channel die count). Like dieBusyTable(), sized at
      * construction and never reallocated. The BlockManager scans
      * this instead of every die to find the least-loaded plane
      * (DESIGN.md section 7.15).
@@ -104,27 +103,14 @@ class ResourceModel
      */
     std::uint32_t pendingAt(std::uint64_t die, Tick now) const;
 
-    /**
-     * High-water mark of any die's backlog over the run. The
-     * high-water is tracked per die (so backlog accounting stays
-     * channel-local under the sharded flash phase) and folded with
-     * max here; the fold equals the historical global running
-     * maximum exactly.
-     */
-    std::uint64_t maxDieBacklog() const;
+    /** High-water mark of any die's backlog over the run. */
+    std::uint64_t maxDieBacklog() const { return backlogHigh; }
 
     /** Fraction of [0, horizon] each resource class was busy. */
     double channelUtilization(Tick horizon) const;
     double dieUtilization(Tick horizon) const;
 
     const TimingModel &timing() const { return times; }
-
-    /** Geometry this model was built for. */
-    const Geometry &geometry() const { return geom; }
-
-    /** Whether an operation tracer is attached (sharding must then
-     *  fall back to serial issue: spans record in issue order). */
-    bool hasTracer() const { return tracer != nullptr; }
 
     /**
      * Attach an operation tracer (not owned; nullptr detaches). One
@@ -189,8 +175,8 @@ class ResourceModel
      */
     std::vector<RingBuffer<Tick>> dieOutstanding;
 
-    /** Per-die backlog high-water marks (see maxDieBacklog). */
-    std::vector<std::uint64_t> backlogHigh;
+    /** Backlog high-water mark across all dies (maxDieBacklog). */
+    std::uint64_t backlogHigh = 0;
 
     /** Operation tracer; null (the default) disables span recording. */
     TraceSink *tracer = nullptr;

@@ -74,28 +74,6 @@ toString(DvpScope scope)
     zombie_panic("unreachable DVP scope");
 }
 
-EngineMode
-engineModeFromString(const std::string &name)
-{
-    if (name == "serial")
-        return EngineMode::Serial;
-    if (name == "epoch")
-        return EngineMode::Epoch;
-    zombie_fatal("unknown engine mode '", name, "' (serial | epoch)");
-}
-
-std::string
-toString(EngineMode mode)
-{
-    switch (mode) {
-      case EngineMode::Serial:
-        return "serial";
-      case EngineMode::Epoch:
-        return "epoch";
-    }
-    zombie_panic("unreachable engine mode");
-}
-
 bool
 usesHashEngine(SystemKind kind)
 {
@@ -265,8 +243,6 @@ SsdConfig::validate() const
         zombie_fatal("SsdConfig: gcPagesPerStep must be > 0");
     if (queueDepth == 0)
         zombie_fatal("SsdConfig: queueDepth must be >= 1");
-    if (shards == 0)
-        zombie_fatal("SsdConfig: shards must be >= 1");
     if (queueDepth > 65536)
         zombie_fatal("SsdConfig: queueDepth ", queueDepth,
                      " exceeds the 65536-tag ceiling");

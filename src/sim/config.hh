@@ -60,23 +60,6 @@ enum class DvpScope : std::uint8_t
 DvpScope dvpScopeFromString(const std::string &name);
 std::string toString(DvpScope scope);
 
-/**
- * Event-engine execution strategy. Serial — the default — is the
- * historical single-queue dispatch loop. Epoch runs channel-local
- * completions through speculative per-channel lanes with epoch
- * barriers (sim/event.hh, DESIGN.md section 7.15); results are
- * byte-identical to Serial by construction, so this is purely an
- * execution-speed knob, like shards.
- */
-enum class EngineMode : std::uint8_t
-{
-    Serial,
-    Epoch,
-};
-
-EngineMode engineModeFromString(const std::string &name);
-std::string toString(EngineMode mode);
-
 /** Whether this system computes content hashes on the write path. */
 bool usesHashEngine(SystemKind kind);
 /** Whether this system owns a dead-value pool. */
@@ -156,23 +139,6 @@ struct SsdConfig
 
     /** Incremental-GC budget (relocations per host write per plane). */
     std::uint32_t gcPagesPerStep = 2;
-
-    /**
-     * Flash-phase shards: GC bursts are partitioned by channel across
-     * this many executors (sim/controller.hh). 1 — the default —
-     * keeps the historical single-threaded issue path; any value is
-     * byte-identical to 1 because shards touch disjoint channel/die
-     * state and join before the next command issues. An attached op
-     * tracer forces serial issue regardless.
-     */
-    std::uint32_t shards = 1;
-
-    /**
-     * Event-engine execution strategy (see EngineMode). Epoch mode
-     * reuses the flash-phase worker band, so `shards` also sizes its
-     * drain parallelism.
-     */
-    EngineMode engineMode = EngineMode::Serial;
 
     /**
      * Epoch-sampler interval in simulated ticks; 0 — the default —

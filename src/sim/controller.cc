@@ -32,99 +32,13 @@ FlashScheduler::issue(const FlashStepBuffer &steps, Tick t)
     // behind the collection. Steps on one die serialize through its
     // busy-until in issue order; planes collect in parallel.
     Tick gc_tail = completion;
-    if (shards > 1 && !res.hasTracer() &&
-        steps.gcSteps.size() >= kMinShardSteps) {
-        ++nShardedBursts;
-        gc_tail = std::max(gc_tail, issueGcSharded(steps, t));
-    } else {
-        if (shards > 1 && !steps.gcSteps.empty())
-            ++nSerialForced;
-        for (const FlashStep &step : steps.gcSteps) {
-            if (step.op == FlashOp::Program)
-                readCache.invalidate(step.ppn);
-            gc_tail = std::max(
-                gc_tail, res.scheduleOp(step.op, step.ppn, t, true));
-        }
-    }
-    // Completion-lane affinity: the channel the user work ended on.
-    const std::uint32_t channel =
-        steps.userSteps.empty()
-            ? 0
-            : res.geometry().channelOfPpn(steps.userSteps.back().ppn);
-    return FlashIssue{completion, gc_tail, channel};
-}
-
-void
-FlashScheduler::registerStats(StatRegistry &registry) const
-{
-    registry.addCounter("ctrl.sharded_bursts", &nShardedBursts);
-    registry.addCounter("ctrl.serial_forced", &nSerialForced);
-}
-
-void
-FlashScheduler::configureShards(std::uint32_t shard_count,
-                                WorkerBand *worker_band)
-{
-    if (shard_count <= 1 || !worker_band) {
-        shards = 1;
-        band = nullptr;
-        return;
-    }
-    shards = shard_count;
-    band = worker_band;
-    const Geometry &geom = res.geometry();
-    chanSteps.resize(geom.channels());
-    // One victim block of relocation pairs per collecting plane is
-    // the natural burst; reserving that up front keeps the partition
-    // pass allocation-free in steady state (DESIGN.md section 7.10).
-    for (std::vector<FlashStep> &c : chanSteps)
-        c.reserve(2ul * geom.pagesPerBlock());
-    shardTails.assign(shards, 0);
-}
-
-Tick
-FlashScheduler::issueGcSharded(const FlashStepBuffer &steps, Tick t)
-{
-    // Serial pre-pass: read-cache invalidations stay on the calling
-    // thread (the cache is shared across channels). GC steps never
-    // *read* the cache and the command's user steps were charged
-    // above, so hoisting the invalidations ahead of the resource
-    // charging cannot change any outcome.
-    const Geometry &geom = res.geometry();
     for (const FlashStep &step : steps.gcSteps) {
         if (step.op == FlashOp::Program)
             readCache.invalidate(step.ppn);
-        chanSteps[geom.channelOfPpn(step.ppn)].push_back(step);
+        gc_tail = std::max(gc_tail,
+                           res.scheduleOp(step.op, step.ppn, t, true));
     }
-    // Each channel's subsequence preserves the burst's issue order,
-    // so per-channel busy-until/backlog state evolves exactly as the
-    // serial loop would leave it; shards touch disjoint channels and
-    // the band joins before any later command issues.
-    burstStart = t;
-    std::fill(shardTails.begin(), shardTails.end(), 0);
-    band->run(&shardThunk, this, shards);
-    Tick gc_tail = 0;
-    for (const Tick tail : shardTails)
-        gc_tail = std::max(gc_tail, tail);
-    for (std::vector<FlashStep> &c : chanSteps)
-        c.clear();
-    return gc_tail;
-}
-
-void
-FlashScheduler::shardThunk(void *ctx, unsigned shard)
-{
-    auto *self = static_cast<FlashScheduler *>(ctx);
-    Tick tail = 0;
-    const std::size_t channels = self->chanSteps.size();
-    for (std::size_t c = shard; c < channels; c += self->shards) {
-        for (const FlashStep &step : self->chanSteps[c])
-            tail = std::max(tail,
-                            self->res.scheduleOp(step.op, step.ppn,
-                                                 self->burstStart,
-                                                 true));
-    }
-    self->shardTails[shard] = tail;
+    return FlashIssue{completion, gc_tail};
 }
 
 /** Static span-category literals, one per possible tenant (the
@@ -189,22 +103,6 @@ Controller::Controller(const SsdConfig &config, Ftl &ftl_,
 }
 
 void
-Controller::reserveSubmissions(std::uint64_t count)
-{
-    // One up-front reservation for a trace of known length: the
-    // arrival ring and lane never regrow mid-run (each regrow copies
-    // the full ring). The heap only ever carries the in-flight
-    // events, so it keeps its small reservation.
-    const std::size_t need = count + 4ul * depth + 16;
-    if (need <= eventReserve)
-        return;
-    eventReserve = need;
-    arrivals.reserve(count);
-    engine.reserveLane(EventEngine::kArrivalLane, need);
-    engine.reserve(4ul * depth + 64);
-}
-
-void
 Controller::submit(const TraceRecord &rec)
 {
     if (rec.tenant >= numTenants) {
@@ -239,8 +137,8 @@ Controller::submit(const TraceRecord &rec)
     if (sampler && !samplerArmed) {
         samplerArmed = true;
         const Tick from = std::max(engine.now(), rec.arrival);
-        engine.scheduleLocal(sampler->nextBoundary(from),
-                             EventKind::StatsSample, 0, 0, 0);
+        engine.schedule(sampler->nextBoundary(from),
+                        EventKind::StatsSample);
     }
 }
 
@@ -286,13 +184,14 @@ Controller::event(Tick now, EventKind kind, std::uint32_t ctx,
         break;
       case EventKind::StatsSample:
         // Epoch boundary: snapshot the registry, then re-arm one
-        // interval ahead while commands remain in flight. With the
-        // pipeline idle the chain stops (the engine must drain) and
-        // the next submission re-arms it.
+        // interval ahead while commands remain in flight or the pump
+        // has more to submit. Once input is closed and the pipeline
+        // idle the chain stops (the engine must drain) and the next
+        // submission re-arms it.
         sampler->sample(now);
-        if (outstanding() > 0)
-            engine.scheduleLocal(now + sampler->interval(),
-                                 EventKind::StatsSample, 0, 0, 0);
+        if (outstanding() > 0 || inputOpen)
+            engine.schedule(now + sampler->interval(),
+                            EventKind::StatsSample);
         else
             samplerArmed = false;
         break;
@@ -394,15 +293,11 @@ Controller::onDispatched(const HostCommand &cmd, Tick now)
             ts.gcCollateralTicks += issued.gcTail - issued.completion;
     }
 
-    // Completions and GC tails are channel-local work: in epoch mode
-    // they ride the per-channel speculative lanes; in serial mode
-    // scheduleLocal forwards straight to schedule().
-    engine.scheduleLocal(issued.completion, EventKind::FlashDone, 0,
-                         cmd.idx, issued.channel);
+    engine.schedule(issued.completion, EventKind::FlashDone, 0,
+                    cmd.idx);
     if (issued.gcTail > issued.completion) {
         cstats.gcTailTicks += issued.gcTail - issued.completion;
-        engine.scheduleLocal(issued.gcTail, EventKind::GcTail, 0, 0,
-                             issued.channel);
+        engine.schedule(issued.gcTail, EventKind::GcTail);
     }
 
     // This command's tag is free again: admit the next waiter.
@@ -456,13 +351,6 @@ Controller::registerStats(StatRegistry &registry) const
     registry.addGauge("ctrl.outstanding", [this] {
         return static_cast<double>(outstanding());
     });
-
-    // Sharded-issue visibility only when sharding is configured, so
-    // single-shard registry dumps stay byte-identical to historical
-    // output (the flash scheduler is configured after construction;
-    // the config is the authoritative gate).
-    if (cfg.shards > 1)
-        flash.registerStats(registry);
 
     // Per-tenant slices exist only on a multi-tenant drive, so the
     // single-tenant registry dump stays byte-identical. Storage lives

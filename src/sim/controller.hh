@@ -60,7 +60,6 @@
 #include "util/ring.hh"
 #include "util/slab.hh"
 #include "util/stats.hh"
-#include "util/worker_band.hh"
 
 namespace zombie
 {
@@ -73,13 +72,6 @@ struct FlashIssue
 
     /** Completion of the last collateral GC step (>= completion). */
     Tick gcTail = 0;
-
-    /**
-     * Channel of the command's last user step (0 when the command
-     * needed no flash work). Pure affinity hint for the epoch
-     * engine's completion lanes — any in-range value is correct.
-     */
-    std::uint32_t channel = 0;
 };
 
 /**
@@ -90,19 +82,6 @@ struct FlashIssue
  * itself). Read-cache hits complete in controller RAM and still
  * advance the chain. GC steps all start at the command's issue tick
  * and serialize per die through the busy-until schedule.
- *
- * Sharded GC issue (configureShards): a GC burst — up to a whole
- * victim block of relocation ops per collecting plane — is the one
- * flash phase whose ops do not depend on each other across channels:
- * every op touches only the busy-until/backlog state of its own die
- * and channel, and GC relocation chains never cross planes. The
- * burst is therefore partitioned by channel and executed on a
- * WorkerBand, all shards joining before issue() returns (the
- * conservative epoch barrier: nothing after this command's issue can
- * observe partial state). Results are byte-identical to serial issue
- * because each channel's subsequence executes in original order
- * against disjoint state and the gc-tail fold (max) is
- * order-independent.
  */
 class FlashScheduler
 {
@@ -114,14 +93,6 @@ class FlashScheduler
 
     FlashIssue issue(const FlashStepBuffer &steps, Tick t);
 
-    /**
-     * Enable channel-sharded GC issue. @p shard_count <= 1 or a null
-     * @p worker_band keep the serial path; an attached op tracer
-     * forces serial issue regardless (spans record in issue order).
-     */
-    void configureShards(std::uint32_t shard_count,
-                         WorkerBand *worker_band);
-
     /** Category label stamped on host-op trace spans (see
      *  ResourceModel::setHostSpanCategory). */
     void setHostSpanCategory(const char *category)
@@ -129,49 +100,9 @@ class FlashScheduler
         res.setHostSpanCategory(category);
     }
 
-    /** GC bursts issued through the sharded path. */
-    std::uint64_t shardedBursts() const { return nShardedBursts; }
-
-    /**
-     * GC bursts issued serially although sharding was configured —
-     * the burst was under kMinShardSteps, or an attached op tracer
-     * forced serial issue. A run with sharded_bursts == 0 and a
-     * large serial_forced count got no parallelism out of --shards.
-     */
-    std::uint64_t serialForced() const { return nSerialForced; }
-
-    /**
-     * Register the sharded-issue visibility counters under "ctrl.".
-     * The owner gates this on the configured shard count so
-     * single-shard registry dumps stay byte-identical to historical
-     * output.
-     */
-    void registerStats(StatRegistry &registry) const;
-
   private:
-    /** Sharded GC burst; returns the burst's gc-tail fold. */
-    Tick issueGcSharded(const FlashStepBuffer &steps, Tick t);
-
-    /** WorkerBand thunk: run every channel of one shard. */
-    static void shardThunk(void *ctx, unsigned shard);
-
     ResourceModel &res;
     ReadCache &readCache;
-
-    /** Sharded-issue state (unused until configureShards). */
-    std::uint32_t shards = 1;
-    WorkerBand *band = nullptr;
-    std::vector<std::vector<FlashStep>> chanSteps; //!< per channel
-    std::vector<Tick> shardTails;                  //!< per shard
-    Tick burstStart = 0;                           //!< current burst's t
-
-    /** GC bursts below this many steps stay serial: the fan-out
-     *  handshake costs more than the work it would spread. */
-    static constexpr std::size_t kMinShardSteps = 24;
-
-    /** Sharded-vs-forced-serial visibility (see the accessors). */
-    std::uint64_t nShardedBursts = 0;
-    std::uint64_t nSerialForced = 0;
 };
 
 /** Aggregate pipeline counters for one run. */
@@ -236,20 +167,6 @@ class Controller : public EventSink
      */
     void submit(const TraceRecord &rec);
 
-    /**
-     * Optional hint that @p count submissions are coming: reserves
-     * the arrival storages once instead of growing them by doubling
-     * mid-run. Pure capacity management; never affects results.
-     */
-    void reserveSubmissions(std::uint64_t count);
-
-    /** Enable channel-sharded GC issue (FlashScheduler). */
-    void configureFlashShards(std::uint32_t shard_count,
-                              WorkerBand *worker_band)
-    {
-        flash.configureShards(shard_count, worker_band);
-    }
-
     /** Run the engine until every submitted command completed. */
     void drain();
 
@@ -279,23 +196,22 @@ class Controller : public EventSink
     /** Commands submitted but not yet completed. */
     std::uint64_t outstanding() const { return submitted - completed; }
 
-    /** Sharded-issue visibility (FlashScheduler counters). */
-    std::uint64_t shardedBursts() const
-    {
-        return flash.shardedBursts();
-    }
-    std::uint64_t serialForcedBursts() const
-    {
-        return flash.serialForced();
-    }
-
     /**
      * Attach an epoch sampler (not owned; nullptr detaches). The
      * controller schedules one StatsSample event per boundary while
-     * commands are outstanding, re-arming on the next submission, so
-     * an idle drive costs no events and the engine always drains.
+     * commands are outstanding or input is open, re-arming on the
+     * next submission, so an idle drive costs no events and the
+     * engine always drains.
      */
     void attachSampler(EpochSampler *s) { sampler = s; }
+
+    /**
+     * Whether the admission pump still has records to submit. While
+     * open, the sampler chain stays armed across idle gaps, so a
+     * streamed run closes the same epoch rows as submitting the
+     * whole trace up front. Close it before the final drain.
+     */
+    void setInputOpen(bool open) { inputOpen = open; }
 
     /**
      * Register pipeline counters, latency histograms and the
@@ -384,6 +300,9 @@ class Controller : public EventSink
 
     /** A StatsSample event is pending in the engine. */
     bool samplerArmed = false;
+
+    /** The admission pump has more input (see setInputOpen). */
+    bool inputOpen = false;
 
     ControllerStats cstats;
 };

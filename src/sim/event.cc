@@ -48,7 +48,7 @@ EventEngine::heapPopMin(std::vector<Event> &h)
 }
 
 const EventEngine::Event *
-EventEngine::peekGlobal(int &lane_out) const
+EventEngine::peekNext(int &lane_out) const
 {
     lane_out = -1;
     const Event *best = heap.empty() ? nullptr : &heap[0];
@@ -64,40 +64,16 @@ EventEngine::peekGlobal(int &lane_out) const
     return best;
 }
 
-const EventEngine::Event *
-EventEngine::peekNext(int &lane_out) const
-{
-    const Event *best = peekGlobal(lane_out);
-    for (std::size_t c = 0; c < chanLanes.size(); ++c) {
-        if (chanLanes[c].empty())
-            continue;
-        const Event &top = chanLanes[c][0];
-        if (!best || before(top, *best)) {
-            best = &top;
-            lane_out = static_cast<int>(kMonotoneLanes + c);
-        }
-    }
-    return best;
-}
-
 void
 EventEngine::dispatch(const Event &ev_ref, int lane)
 {
     // Copy before popping: ev_ref points into the storage being
     // popped, and the handler may grow the heap (reallocation).
     const Event ev = ev_ref;
-    if (lane < 0) {
+    if (lane < 0)
         heapPopMin(heap);
-    } else if (lane < static_cast<int>(kMonotoneLanes)) {
+    else
         lanes[lane].pop_front();
-    } else {
-        const std::uint32_t c =
-            static_cast<std::uint32_t>(lane) - kMonotoneLanes;
-        heapPopMin(chanLanes[c]);
-        --localPending;
-        if (chanLanes[c].empty())
-            laneMask &= ~(1ull << c);
-    }
     current = ev.when;
     ++fired;
     ++kindFired[static_cast<std::uint32_t>(ev.kind)];
@@ -117,13 +93,8 @@ EventEngine::step()
 void
 EventEngine::run()
 {
-    constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
-    constexpr auto kMaxSeq = std::numeric_limits<std::uint64_t>::max();
-    if (epochMode()) {
-        runEpochs(kMaxTick, kMaxSeq);
-        return;
-    }
-    runSerial(kMaxTick, kMaxSeq);
+    runBounded(std::numeric_limits<Tick>::max(),
+               std::numeric_limits<std::uint64_t>::max());
 }
 
 void
@@ -132,15 +103,11 @@ EventEngine::runBefore(Tick when)
     // The bound is the (when, seq) the next arrival-lane push will
     // receive: everything that sorts before it fires, everything at
     // or after it stays pending until that arrival is submitted.
-    if (epochMode()) {
-        runEpochs(when, arrivalSeq);
-        return;
-    }
-    runSerial(when, arrivalSeq);
+    runBounded(when, arrivalSeq);
 }
 
 void
-EventEngine::runSerial(Tick bound_when, std::uint64_t bound_seq)
+EventEngine::runBounded(Tick bound_when, std::uint64_t bound_seq)
 {
     zombie_assert(target, "run() with no event sink attached");
     const Event bound{bound_when, bound_seq, 0, 0,
@@ -174,246 +141,6 @@ EventEngine::nextAt() const
     const Event *next = peekNext(lane);
     zombie_assert(next, "nextAt() on an empty event queue");
     return next->when;
-}
-
-void
-EventEngine::configureEpoch(std::uint32_t channels,
-                            WorkerBand *worker_band,
-                            std::uint32_t shard_count)
-{
-    zombie_assert(channels > 0, "epoch mode needs >= 1 channel");
-    zombie_assert(channels <= 64,
-                  "epoch mode lane mask caps channels at 64");
-    zombie_assert(empty() && nextSeq == kNormalSeqBase &&
-                      arrivalSeq == 0,
-                  "configureEpoch on a live engine");
-    chanLanes.assign(channels, {});
-    chanLog.assign(channels, {});
-    logHead.assign(channels, 0);
-    activeCh.reserve(channels);
-    laneMask = 0;
-    band = worker_band;
-    drainShards = std::max<std::uint32_t>(1, shard_count);
-}
-
-void
-EventEngine::drainChannel(std::uint32_t c)
-{
-    // Horizon as a pseudo-event: drain everything that dispatches
-    // strictly before the next global event.
-    const Event horizon{hWhen, hSeq, 0, 0, EventKind::HostArrival};
-    auto &lane = chanLanes[c];
-    auto &log = chanLog[c];
-    log.clear();
-    while (!lane.empty() && before(lane[0], horizon)) {
-        log.push_back(lane[0]);
-        heapPopMin(lane);
-    }
-}
-
-void
-EventEngine::drainThunk(void *ctx, unsigned shard)
-{
-    auto *self = static_cast<EventEngine *>(ctx);
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(self->chanLanes.size());
-    for (std::uint32_t c = shard; c < n; c += self->drainShards)
-        self->drainChannel(c);
-}
-
-bool
-EventEngine::pendingBefore(const Event &ev) const
-{
-    if (!heap.empty() && before(heap[0], ev))
-        return true;
-    for (std::uint32_t l = 0; l < kMonotoneLanes; ++l) {
-        if (!lanes[l].empty() && before(lanes[l].front(), ev))
-            return true;
-    }
-    for (const auto &lane : chanLanes) {
-        if (!lane.empty() && before(lane[0], ev))
-            return true;
-    }
-    return false;
-}
-
-void
-EventEngine::commitLogs()
-{
-    for (const std::uint32_t c : activeCh)
-        logHead[c] = 0;
-    // Set once a committed handler schedules anything. Handlers only
-    // ever allocate from the normal band (arrival-lane pushes come
-    // from submit(), outside the engine), so watching nextSeq alone
-    // is sufficient. Every event
-    // that existed when the epoch was drained sorts at or after the
-    // horizon, which itself sorts after every log entry — so until a
-    // handler schedules, no pending event can precede an uncommitted
-    // entry and the merge needs no checks at all. Afterwards every
-    // commit must first prove the newly scheduled work still sorts
-    // behind it, or the speculation has diverged from serial order.
-    bool speculation_dirty = false;
-    for (;;) {
-        // K-way merge head: the uncommitted entry with the least
-        // (when, seq). The active-channel list is short (most
-        // epochs touch a lane or two), so a linear scan beats a
-        // merge heap here.
-        const Event *next = nullptr;
-        std::uint32_t next_ch = 0;
-        for (const std::uint32_t c : activeCh) {
-            if (logHead[c] >= chanLog[c].size())
-                continue;
-            const Event &head = chanLog[c][logHead[c]];
-            if (!next || before(head, *next)) {
-                next = &head;
-                next_ch = c;
-            }
-        }
-        if (!next) {
-            // Fully committed: leave the logs empty for the next
-            // epoch's occupancy scan (only drained channels get a
-            // fresh clear).
-            for (const std::uint32_t c : activeCh)
-                chanLog[c].clear();
-            return;
-        }
-        if (speculation_dirty && pendingBefore(*next)) {
-            // Conflict: a newly scheduled event dispatches before
-            // the rest of the log. Roll the uncommitted suffix back
-            // into its lanes (original sequence numbers, so nothing
-            // is reordered) and let the next epoch replay it against
-            // the new horizon. The first commit of a pass is always
-            // clean, so every rollback retires at least one event
-            // and the loop makes progress.
-            ++nRolledBack;
-            for (const std::uint32_t c : activeCh) {
-                if (logHead[c] < chanLog[c].size())
-                    laneMask |= 1ull << c;
-                for (std::size_t i = logHead[c];
-                     i < chanLog[c].size(); ++i) {
-                    heapPush(chanLanes[c], chanLog[c][i]);
-                    ++localPending;
-                }
-                chanLog[c].clear();
-            }
-            return;
-        }
-        const Event ev = *next;
-        ++logHead[next_ch];
-        current = ev.when;
-        ++fired;
-        ++kindFired[static_cast<std::uint32_t>(ev.kind)];
-        const std::uint64_t seq_before = nextSeq;
-        target->event(ev.when, ev.kind, ev.ctx, ev.arg);
-        if (nextSeq != seq_before)
-            speculation_dirty = true;
-    }
-}
-
-void
-EventEngine::runEpochs(Tick bound_when, std::uint64_t bound_seq)
-{
-    zombie_assert(target, "run() with no event sink attached");
-    const Event bound{bound_when, bound_seq, 0, 0,
-                      EventKind::HostArrival};
-    while (!empty()) {
-        int glane = -1;
-        const Event *g = peekGlobal(glane);
-        // A global event at or past the bound is not dispatchable
-        // this call; the horizon logic below still speculates local
-        // work up to the bound, exactly as it would up to g.
-        if (g && !before(*g, bound))
-            g = nullptr;
-        if (localPending == 0) {
-            // Nothing to speculate over: serial spine event.
-            if (!g)
-                return;
-            dispatch(*g, glane);
-            continue;
-        }
-        if ((laneMask & (laneMask - 1)) == 0) {
-            // One active lane: the merge is trivial, so dispatch
-            // straight from the lane — exact serial stepping, no
-            // drain, no log, no rollback exposure. (localPending >
-            // 0 and the mask is a superset, so the single set bit
-            // is the non-empty lane.) Counted as a span-1 epoch:
-            // the event still dispatches off the serial spine.
-            const auto c = static_cast<std::uint32_t>(
-                __builtin_ctzll(laneMask));
-            const auto &lane = chanLanes[c];
-            if ((!g || before(lane[0], *g)) &&
-                before(lane[0], bound)) {
-                ++nEpochs;
-                ++nSpeculated;
-                epochSpanMax =
-                    std::max<std::uint64_t>(epochSpanMax, 1);
-                dispatch(lane[0],
-                         static_cast<int>(kMonotoneLanes + c));
-            } else if (g) {
-                dispatch(*g, glane);
-            } else {
-                return; // everything pending is at/past the bound
-            }
-            continue;
-        }
-        if (g) {
-            hWhen = g->when;
-            hSeq = g->seq;
-        } else {
-            hWhen = bound_when;
-            hSeq = bound_seq;
-        }
-        if (band && drainShards > 1 &&
-            localPending >= kMinSpecEvents) {
-            // The workers never touch laneMask; stale set bits over
-            // the lanes they empty are cleared by later passes.
-            band->run(&drainThunk, this, drainShards);
-        } else {
-            std::uint64_t scan = laneMask;
-            while (scan) {
-                const auto c = static_cast<std::uint32_t>(
-                    __builtin_ctzll(scan));
-                scan &= scan - 1;
-                drainChannel(c);
-                if (chanLanes[c].empty())
-                    laneMask &= ~(1ull << c);
-            }
-        }
-        std::size_t total = 0;
-        activeCh.clear();
-        const std::uint32_t n =
-            static_cast<std::uint32_t>(chanLog.size());
-        for (std::uint32_t c = 0; c < n; ++c) {
-            if (chanLog[c].empty())
-                continue;
-            total += chanLog[c].size();
-            activeCh.push_back(c);
-        }
-        if (total == 0) {
-            // Every local event sits at or past the horizon. Fire
-            // the global event when one is in bounds; otherwise the
-            // horizon was the bound itself and nothing else may run
-            // this call.
-            if (!g)
-                return;
-            dispatch(*g, glane);
-            continue;
-        }
-        localPending -= total;
-        nSpeculated += total;
-        ++nEpochs;
-        epochSpanMax = std::max<std::uint64_t>(epochSpanMax, total);
-        commitLogs();
-    }
-}
-
-void
-EventEngine::registerStats(StatRegistry &registry) const
-{
-    registry.addCounter("engine.epochs", &nEpochs);
-    registry.addCounter("engine.rolled_back_epochs", &nRolledBack);
-    registry.addCounter("engine.speculated_events", &nSpeculated);
-    registry.addCounter("engine.max_epoch_span", &epochSpanMax);
 }
 
 } // namespace zombie

@@ -18,9 +18,7 @@
  *    (host arrivals; dispatch-done events, which add a constant
  *    overhead to a monotone clock) are plain FIFO rings. Their front
  *    is their minimum, so insert and extract are O(1) instead of
- *    O(log n) — crucial because a whole trace's arrivals are pending
- *    at once and would otherwise make every heap operation walk a
- *    million-entry heap.
+ *    O(log n), and the heap never carries arrivals at all.
  *  - A 4-ary min-heap for everything that genuinely completes out of
  *    order (flash completions, GC tails, sampler boundaries). This
  *    heap only ever holds the in-flight flash window, so it stays a
@@ -32,31 +30,13 @@
  * from 0, every other storage from a high band starting at
  * kNormalSeqBase. Within a band the numbering is the schedule
  * order, so the dispatch order is exactly the order a single heap
- * would produce for a materialized run — where every arrival is
- * scheduled before the first drain and therefore always carries the
- * smaller seq in a same-tick tie. The banding makes that tie-break
- * independent of *when* the arrival was pushed, which is what lets
- * streamed admission (runBefore + submit, record by record)
- * reproduce the materialized dispatch order byte-for-byte
- * (DESIGN.md section 7.16).
- *
- * Epoch-sharded mode (DESIGN.md section 7.15, configureEpoch): the
- * engine additionally partitions *channel-local* events — flash
- * completions, GC tails, sampler boundaries, anything scheduled via
- * scheduleLocal — into per-channel lanes (small 4-ary heaps). The
- * run loop then proceeds in epochs: it picks the next *global*
- * event's (when, seq) as the horizon, speculatively drains every
- * channel lane's events before that horizon into per-channel commit
- * logs (in parallel on a WorkerBand when the backlog is deep
- * enough), and a serial commit phase replays the logs in global
- * (when, seq) order against the sink. The sink therefore observes
- * exactly the serial dispatch order, and byte-identity holds by
- * construction. If a committed handler schedules a new event that
- * sorts before a not-yet-committed log entry (a cross-affinity
- * dependency the speculation missed — e.g. a sampler re-arm landing
- * mid-epoch), the epoch rolls back: the uncommitted suffix returns
- * to its lanes with original sequence numbers and the loop replays
- * from the top. rolledBackEpochs() counts those.
+ * would produce if every arrival were scheduled before the first
+ * drain — an arrival then always carries the smaller seq in a
+ * same-tick tie. The banding makes that tie-break independent of
+ * *when* the arrival was pushed, which is what lets streamed
+ * admission (runBefore + submit, record by record) reproduce the
+ * submit-everything dispatch order byte-for-byte (DESIGN.md
+ * section 7.16).
  *
  * Everything is flat vectors/rings, so the engine performs zero heap
  * allocations once each storage has reached its high-water mark — no
@@ -74,11 +54,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "telemetry/stat_registry.hh"
 #include "util/logging.hh"
 #include "util/ring.hh"
 #include "util/types.hh"
-#include "util/worker_band.hh"
 
 namespace zombie
 {
@@ -167,54 +145,10 @@ class EventEngine
         lanes[lane].push_back(Event{when, seq, arg, ctx, kind});
     }
 
-    /**
-     * Enqueue a channel-local event. Without epoch mode this is
-     * exactly schedule() — same storage, same sequence numbering —
-     * so the serial path is untouched. In epoch mode the event lands
-     * on channel lane @p channel and is drained speculatively; the
-     * dispatch order the sink observes is still the global (when,
-     * seq) order. The channel is a load-balancing affinity hint
-     * only: any value in range is correct.
-     */
-    void
-    scheduleLocal(Tick when, EventKind kind, std::uint32_t ctx,
-                  std::uint64_t arg, std::uint32_t channel)
-    {
-        if (chanLanes.empty()) {
-            schedule(when, kind, ctx, arg);
-            return;
-        }
-        zombie_assert(when >= current,
-                      "event scheduled in the past (", when, " < ",
-                      current, ")");
-        zombie_assert(channel < chanLanes.size(),
-                      "channel lane out of range");
-        heapPush(chanLanes[channel],
-                 Event{when, nextSeq++, arg, ctx, kind});
-        laneMask |= 1ull << channel;
-        ++localPending;
-    }
-
-    /**
-     * Enable epoch-sharded execution: scheduleLocal events route to
-     * @p channels per-channel lanes and run() proceeds in epochs.
-     * @p worker_band (not owned, may be null) drains lanes in
-     * parallel with @p shard_count shard strides over the channels,
-     * exactly like the sharded flash phase; a null band or
-     * shard_count <= 1 drains inline (same epochs, same commit
-     * order, no threads). Must be called while the engine is empty.
-     */
-    void configureEpoch(std::uint32_t channels,
-                        WorkerBand *worker_band,
-                        std::uint32_t shard_count);
-
-    /** Whether epoch-sharded execution is configured. */
-    bool epochMode() const { return !chanLanes.empty(); }
-
     /** Fire the earliest pending event. Panics when empty. */
     void step();
 
-    /** Fire events until none remain (epoch loop in epoch mode). */
+    /** Fire events until none remain. */
     void run();
 
     /** Fire events up to and including @p until. */
@@ -226,25 +160,12 @@ class EventEngine
      * next-arrival-seq). The streamed-admission pump: calling this
      * just before each submit keeps the dispatch order identical to
      * submitting the whole trace first and draining once, while the
-     * arrival backlog stays bounded by the in-flight window. Runs
-     * the epoch loop in epoch mode, so speculation is preserved.
+     * arrival backlog stays bounded by the in-flight window.
      */
     void runBefore(Tick when);
 
     /** Pre-size the heap so steady state never reallocates. */
-    void
-    reserve(std::size_t n)
-    {
-        heap.reserve(n);
-        // In epoch mode the in-flight events the heap would hold sit
-        // on the channel lanes instead (worst case: all on one
-        // channel), and each drained lane spills into its commit
-        // log, so the same occupancy bound pre-sizes all three.
-        for (auto &lane : chanLanes)
-            lane.reserve(n);
-        for (auto &log : chanLog)
-            log.reserve(n);
-    }
+    void reserve(std::size_t n) { heap.reserve(n); }
 
     /** Pre-size lane @p lane's ring likewise. */
     void
@@ -257,7 +178,7 @@ class EventEngine
     bool
     empty() const
     {
-        if (!heap.empty() || localPending > 0)
+        if (!heap.empty())
             return false;
         for (const auto &lane : lanes) {
             if (!lane.empty())
@@ -269,7 +190,7 @@ class EventEngine
     std::size_t
     pending() const
     {
-        std::size_t n = heap.size() + localPending;
+        std::size_t n = heap.size();
         for (const auto &lane : lanes)
             n += lane.size();
         return n;
@@ -290,26 +211,6 @@ class EventEngine
     {
         return kindFired[static_cast<std::uint32_t>(kind)];
     }
-
-    /** Epochs executed through the speculative commit path. */
-    std::uint64_t epochs() const { return nEpochs; }
-
-    /** Epochs that hit a cross-affinity conflict and rolled back. */
-    std::uint64_t rolledBackEpochs() const { return nRolledBack; }
-
-    /** Channel-lane events drained speculatively (then committed or
-     *  rolled back). */
-    std::uint64_t speculatedEvents() const { return nSpeculated; }
-
-    /** Largest single-epoch drain (occupancy high-water mark). */
-    std::uint64_t maxEpochSpan() const { return epochSpanMax; }
-
-    /**
-     * Register the epoch counters under "engine.". Only meaningful
-     * in epoch mode; the owner gates the call so serial-mode registry
-     * dumps stay byte-identical to historical output.
-     */
-    void registerStats(StatRegistry &registry) const;
 
   private:
     /** One scheduled event: POD, lives inline in its storage. */
@@ -334,41 +235,17 @@ class EventEngine
     /**
      * Earliest pending event across every storage, or nullptr when
      * idle. Lane fronts are lane minima (pushes are monotone and
-     * FIFO breaks same-tick ties by seq) and channel-lane tops are
-     * their heap minima, so comparing one candidate per storage
-     * finds the global min. @p lane_out reports which storage held
-     * it: -1 = heap, [0, kMonotoneLanes) = monotone lane,
-     * kMonotoneLanes + c = channel lane c.
+     * FIFO breaks same-tick ties by seq), so comparing one candidate
+     * per storage finds the global min. @p lane_out reports which
+     * storage held it: -1 = heap, otherwise the monotone lane.
      */
     const Event *peekNext(int &lane_out) const;
-
-    /** Same, over the global spine only (heap + monotone lanes). */
-    const Event *peekGlobal(int &lane_out) const;
 
     /** Pop + dispatch one event found by peekNext. */
     void dispatch(const Event &ev, int lane);
 
-    /** Serial dispatch loop bounded by (bound_when, bound_seq). */
-    void runSerial(Tick bound_when, std::uint64_t bound_seq);
-
-    /** The epoch loop behind run(), bounded likewise. */
-    void runEpochs(Tick bound_when, std::uint64_t bound_seq);
-
-    /** Drain channel @p c's lane into its commit log up to the
-     *  current horizon (hWhen, hSeq). */
-    void drainChannel(std::uint32_t c);
-
-    /** WorkerBand thunk: drain every channel of one shard. */
-    static void drainThunk(void *ctx, unsigned shard);
-
-    /**
-     * Serial commit: replay the drained logs in global (when, seq)
-     * order, rolling back the uncommitted suffix on conflict.
-     */
-    void commitLogs();
-
-    /** Whether any pending event sorts before @p ev. */
-    bool pendingBefore(const Event &ev) const;
+    /** Dispatch loop bounded by (bound_when, bound_seq). */
+    void runBounded(Tick bound_when, std::uint64_t bound_seq);
 
     static void heapPush(std::vector<Event> &h, const Event &ev);
     static void heapPopMin(std::vector<Event> &h);
@@ -382,48 +259,6 @@ class EventEngine
     /** Last tick pushed per lane (monotonicity guard). */
     Tick laneTail[kMonotoneLanes] = {};
 
-    /** Per-channel 4-ary heaps for channel-local events (epoch mode
-     *  only; empty otherwise). */
-    std::vector<std::vector<Event>> chanLanes;
-
-    /** Per-channel commit logs filled by the drain phase, in each
-     *  channel's (when, seq) order. */
-    std::vector<std::vector<Event>> chanLog;
-
-    /** Commit cursor per channel (index into chanLog). */
-    std::vector<std::size_t> logHead;
-
-    /**
-     * Superset mask of channels whose lanes may be non-empty (bit c
-     * = lane c; configureEpoch caps channels at 64). Set eagerly on
-     * every push, cleared lazily — the parallel drain never touches
-     * it, so a set bit over an empty lane is possible, but a
-     * non-empty lane always has its bit set. A single set bit lets
-     * the epoch loop dispatch that lane serially, skipping the
-     * drain/merge machinery entirely.
-     */
-    std::uint64_t laneMask = 0;
-
-    /** Channels whose commit logs are non-empty this epoch (scratch
-     *  for commitLogs; rebuilt by every drain). */
-    std::vector<std::uint32_t> activeCh;
-
-    /** Events currently held across all channel lanes. */
-    std::size_t localPending = 0;
-
-    /** Drain horizon: the next global event's (when, seq). Shared
-     *  with the drain thunk; written only between band runs. */
-    Tick hWhen = 0;
-    std::uint64_t hSeq = 0;
-
-    /** Epoch drain band (not owned; null = inline drain). */
-    WorkerBand *band = nullptr;
-    std::uint32_t drainShards = 1;
-
-    /** Backlogs below this drain inline: the band handshake costs
-     *  more than the pops it would spread (cf. kMinShardSteps). */
-    static constexpr std::size_t kMinSpecEvents = 24;
-
     EventSink *target = nullptr;
     Tick current = 0;
 
@@ -433,12 +268,6 @@ class EventEngine
 
     std::uint64_t fired = 0;
     std::uint64_t kindFired[kNumEventKinds] = {};
-
-    // Epoch-mode observability (see the accessors above).
-    std::uint64_t nEpochs = 0;
-    std::uint64_t nRolledBack = 0;
-    std::uint64_t nSpeculated = 0;
-    std::uint64_t epochSpanMax = 0;
 };
 
 } // namespace zombie

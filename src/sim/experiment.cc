@@ -60,8 +60,6 @@ applyOptions(SsdConfig &cfg, const ExperimentOptions &opts)
     cfg.mq.numQueues = opts.mqQueues;
     cfg.gcPolicy = opts.gcPolicy;
     cfg.queueDepth = opts.queueDepth;
-    cfg.shards = opts.shards;
-    cfg.engineMode = engineModeFromString(opts.engine);
     const ArbiterSpec arb = parseArbiterSpec(opts.arbiter);
     cfg.arbiter = arb.kind;
     cfg.arbiterWeights = arb.weights;
@@ -91,10 +89,7 @@ runSystemOnProfile(const WorkloadProfile &profile, SystemKind system,
         opts.tweak(cfg);
 
     Ssd ssd(cfg);
-    ssd.prefill();
-    TraceRecord rec;
-    while (gen.next(rec))
-        ssd.process(rec);
+    ssd.run(gen);
     SimResult result = ssd.result();
     writeTelemetry(ssd, opts);
     return result;
@@ -102,7 +97,7 @@ runSystemOnProfile(const WorkloadProfile &profile, SystemKind system,
 
 SimResult
 runSystemOnScannedTrace(const ScannedTrace &scan, SystemKind system,
-                        const ExperimentOptions &opts, bool streamed)
+                        const ExperimentOptions &opts)
 {
     SsdConfig cfg = SsdConfig::forFootprint(
         std::max<std::uint64_t>(scan.footprintPages, 1), system);
@@ -117,18 +112,11 @@ runSystemOnScannedTrace(const ScannedTrace &scan, SystemKind system,
         opts.tweak(cfg);
 
     Ssd ssd(cfg);
-    auto src = scan.factory();
-    if (streamed) {
-        // Decode ahead on a producer thread (order-preserving, so
-        // the engine sees the identical record stream either way).
-        src = maybePrefetch(
-            std::move(src),
-            static_cast<std::size_t>(opts.prefetchBatch));
-        ssd.run(*src);
-    } else {
-        const std::vector<TraceRecord> records = drainSource(*src);
-        ssd.run(records);
-    }
+    // Decode ahead on a producer thread (order-preserving, so the
+    // engine sees the identical record stream either way).
+    const auto src = maybePrefetch(
+        scan.factory(), static_cast<std::size_t>(opts.prefetchBatch));
+    ssd.run(*src);
     SimResult result = ssd.result();
     writeTelemetry(ssd, opts);
     return result;
@@ -151,10 +139,7 @@ runTenantProfiles(const std::vector<WorkloadProfile> &profiles,
         opts.tweak(cfg);
 
     Ssd ssd(cfg);
-    ssd.prefill();
-    TraceRecord rec;
-    while (gen.next(rec))
-        ssd.process(rec);
+    ssd.run(gen);
     SimResult result = ssd.result();
     writeTelemetry(ssd, opts);
     return result;

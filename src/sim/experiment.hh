@@ -36,12 +36,6 @@ struct ExperimentOptions
     /** Host-interface queue depth (SsdConfig::queueDepth). */
     std::uint32_t queueDepth = 1;
 
-    /** Flash-phase shards (SsdConfig::shards); 1 = serial issue. */
-    std::uint32_t shards = 1;
-
-    /** Event-engine strategy: "serial" | "epoch" (SsdConfig). */
-    std::string engine = "serial";
-
     /**
      * Multi-tenant frontend. tenants > 1 splits the workload into
      * that many per-tenant streams (equal request shares, distinct
@@ -99,17 +93,13 @@ SimResult runSystemOnProfile(const WorkloadProfile &profile,
 
 /**
  * Replay a scanned external trace (trace/adapters.hh) on @p system,
- * sizing the drive from the scan's footprint. @p streamed admits
- * each record only once the engine has serviced everything ordered
- * before its arrival — bounded memory at 10-100M requests — and is
- * byte-identical to the materialized replay (streamed == false),
- * which submits the whole trace up front and exists as the
- * differential-testing reference.
+ * sizing the drive from the scan's footprint. Records stream
+ * through the admission pump (Ssd::run), so memory stays bounded at
+ * 10-100M requests.
  */
 SimResult runSystemOnScannedTrace(const ScannedTrace &scan,
                                   SystemKind system,
-                                  const ExperimentOptions &opts = {},
-                                  bool streamed = true);
+                                  const ExperimentOptions &opts = {});
 
 /**
  * Simulate one drive shared by explicitly-profiled tenants (one

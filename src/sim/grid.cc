@@ -14,30 +14,6 @@ namespace zombie
 namespace
 {
 
-/** Replay a shared, immutable record vector (no copy per cell). */
-class SharedVectorSource : public TraceSource
-{
-  public:
-    explicit SharedVectorSource(
-        std::shared_ptr<const std::vector<TraceRecord>> records)
-        : recs(std::move(records))
-    {
-    }
-
-    bool
-    next(TraceRecord &out) override
-    {
-        if (pos >= recs->size())
-            return false;
-        out = (*recs)[pos++];
-        return true;
-    }
-
-  private:
-    std::shared_ptr<const std::vector<TraceRecord>> recs;
-    std::size_t pos = 0;
-};
-
 std::uint64_t
 parseAxisUint(std::string_view field, const std::string &spec)
 {
@@ -59,8 +35,7 @@ GridSpec::cells() const
         return static_cast<std::uint64_t>(n > 0 ? n : 1);
     };
     return axis(systems.size()) * axis(depths.size()) *
-           axis(gcPolicies.size()) * axis(engines.size()) *
-           axis(pools.size());
+           axis(gcPolicies.size()) * axis(pools.size());
 }
 
 GridSpec
@@ -114,14 +89,11 @@ parseGridSpec(const std::string &text)
                                  "popularity|wear:greedy|"
                                  "wear:popularity)");
                 spec.gcPolicies.push_back(value);
-            } else if (key == "engine") {
-                engineModeFromString(value); // validate
-                spec.engines.push_back(value);
             } else if (key == "pool") {
                 spec.pools.push_back(parseAxisUint(f, text));
             } else {
                 zombie_fatal("unknown grid axis '", std::string(key),
-                             "' (system|depth|gc|engine|pool)");
+                             "' (system|depth|gc|pool)");
             }
         }
     }
@@ -154,8 +126,6 @@ expandGrid(const GridSpec &spec, SystemKind base_system,
         spec.systems.empty() ? one : spec.systems;
     const auto &gcs =
         spec.gcPolicies.empty() ? one : spec.gcPolicies;
-    const auto &engines =
-        spec.engines.empty() ? one : spec.engines;
     const std::vector<std::uint64_t> no_u64{0};
     const auto depths64 = [&] {
         std::vector<std::uint64_t> v;
@@ -169,39 +139,32 @@ expandGrid(const GridSpec &spec, SystemKind base_system,
     for (const auto &system : systems) {
         for (const auto depth : depths) {
             for (const auto &gc : gcs) {
-                for (const auto &engine : engines) {
-                    for (const auto pool : pools) {
-                        GridCell cell;
-                        cell.system = system.empty()
-                                          ? base_system
-                                          : systemKindFromString(
-                                                system);
-                        cell.opts = cell_base;
-                        if (!system.empty())
-                            appendAxis(cell.label, "system", system);
-                        if (!spec.depths.empty()) {
-                            cell.opts.queueDepth =
-                                static_cast<std::uint32_t>(depth);
-                            appendAxis(cell.label, "depth",
-                                       std::to_string(depth));
-                        }
-                        if (!gc.empty()) {
-                            cell.opts.gcPolicy = gc;
-                            appendAxis(cell.label, "gc", gc);
-                        }
-                        if (!engine.empty()) {
-                            cell.opts.engine = engine;
-                            appendAxis(cell.label, "engine", engine);
-                        }
-                        if (!spec.pools.empty()) {
-                            cell.opts.poolCapacity = pool;
-                            appendAxis(cell.label, "pool",
-                                       std::to_string(pool));
-                        }
-                        if (cell.label.empty())
-                            cell.label = "base";
-                        cells.push_back(std::move(cell));
+                for (const auto pool : pools) {
+                    GridCell cell;
+                    cell.system = system.empty()
+                                      ? base_system
+                                      : systemKindFromString(system);
+                    cell.opts = cell_base;
+                    if (!system.empty())
+                        appendAxis(cell.label, "system", system);
+                    if (!spec.depths.empty()) {
+                        cell.opts.queueDepth =
+                            static_cast<std::uint32_t>(depth);
+                        appendAxis(cell.label, "depth",
+                                   std::to_string(depth));
                     }
+                    if (!gc.empty()) {
+                        cell.opts.gcPolicy = gc;
+                        appendAxis(cell.label, "gc", gc);
+                    }
+                    if (!spec.pools.empty()) {
+                        cell.opts.poolCapacity = pool;
+                        appendAxis(cell.label, "pool",
+                                   std::to_string(pool));
+                    }
+                    if (cell.label.empty())
+                        cell.label = "base";
+                    cells.push_back(std::move(cell));
                 }
             }
         }
@@ -268,7 +231,7 @@ TraceSpool::factory() const
     }
     const auto records = mem;
     return [records]() -> std::unique_ptr<TraceSource> {
-        return std::make_unique<SharedVectorSource>(records);
+        return std::make_unique<VectorSource>(records);
     };
 }
 

@@ -3,7 +3,7 @@
  * Scan-once grid sweeps over a single external trace.
  *
  * Replaying a parameter grid (system x queue depth x GC policy x
- * engine x pool size) over one block trace used to re-run the whole
+ * pool size) over one block trace used to re-run the whole
  * parse/adapter chain — file decode, 4KB split, fingerprint
  * synthesis, LBA compaction — once per cell. TraceSpool runs that
  * chain exactly once and spools the post-adapter record stream into
@@ -41,7 +41,6 @@ struct GridSpec
     std::vector<std::string> systems;   //!< "dvp", "dedup", ...
     std::vector<std::uint32_t> depths;  //!< host queue depths
     std::vector<std::string> gcPolicies; //!< "auto|greedy|popularity"
-    std::vector<std::string> engines;   //!< "serial|epoch"
     std::vector<std::uint64_t> pools;   //!< DVP/MQ pool entries
 
     /** Total cell count (product of non-empty axes). */
@@ -49,9 +48,9 @@ struct GridSpec
 };
 
 /**
- * Parse "system=dvp,dedup;depth=1,32;gc=greedy;engine=epoch;
- * pool=5000" into a GridSpec. Unknown keys, empty value lists and
- * unparseable numbers are fatal (user error).
+ * Parse "system=dvp,dedup;depth=1,32;gc=greedy;pool=5000" into a
+ * GridSpec. Unknown keys, empty value lists and unparseable numbers
+ * are fatal (user error).
  */
 GridSpec parseGridSpec(const std::string &text);
 
@@ -66,7 +65,7 @@ struct GridCell
 /**
  * Expand @p spec against @p base (which supplies every unlisted
  * knob) in deterministic axis-major order: system outermost, then
- * depth, gc, engine, pool. Per-cell telemetry outputs are cleared —
+ * depth, gc, pool. Per-cell telemetry outputs are cleared —
  * cells would race on shared output paths.
  */
 std::vector<GridCell> expandGrid(const GridSpec &spec,

@@ -229,20 +229,6 @@ Ssd::Ssd(SsdConfig config)
     if (store)
         store->registerStats(registry_);
 
-    if (cfg.shards > 1) {
-        band_ = std::make_unique<WorkerBand>(cfg.shards - 1);
-        controller_.configureFlashShards(cfg.shards, band_.get());
-    }
-    if (cfg.engineMode == EngineMode::Epoch) {
-        // Per-channel completion lanes with epoch barriers. The
-        // flash-phase band doubles as the drain band (both uses are
-        // sequential); with shards == 1 the epochs drain inline —
-        // same commit order, no threads. Counters register before
-        // the sampler exists so epoch runs can be sampled too.
-        engine.configureEpoch(cfg.geom.channels(), band_.get(),
-                              cfg.shards);
-        engine.registerStats(registry_);
-    }
     if (cfg.statsInterval > 0) {
         sampler_ = std::make_unique<EpochSampler>(registry_,
                                                   cfg.statsInterval);
@@ -298,22 +284,12 @@ Ssd::drain()
 }
 
 void
-Ssd::run(const std::vector<TraceRecord> &records)
-{
-    if (!prefilled && cfg.prefillFraction > 0.0)
-        prefill();
-    controller_.reserveSubmissions(records.size());
-    for (const auto &rec : records)
-        process(rec);
-    drain();
-}
-
-void
 Ssd::run(TraceSource &source)
 {
     if (!prefilled && cfg.prefillFraction > 0.0)
         prefill();
     TraceRecord rec;
+    controller_.setInputOpen(true);
     while (source.next(rec)) {
         // Service the past before admitting the future: everything
         // ordered strictly before this arrival's (when, seq) key has
@@ -321,6 +297,7 @@ Ssd::run(TraceSource &source)
         engine.runBefore(rec.arrival);
         process(rec);
     }
+    controller_.setInputOpen(false);
     drain();
 }
 
@@ -369,11 +346,6 @@ Ssd::result()
     r.oooCompletions = cs.oooCompletions;
     r.maxDieBacklog = resources.maxDieBacklog();
     r.events = engine.dispatched();
-    r.epochs = engine.epochs();
-    r.rolledBackEpochs = engine.rolledBackEpochs();
-    r.speculatedEvents = engine.speculatedEvents();
-    r.shardedBursts = controller_.shardedBursts();
-    r.serialForcedBursts = controller_.serialForcedBursts();
 
     r.wear = ftl_.wearSummary();
     r.readCache = cache.stats();

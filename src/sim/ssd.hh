@@ -36,7 +36,6 @@
 #include "trace/record.hh"
 #include "trace/source.hh"
 #include "util/stats.hh"
-#include "util/worker_band.hh"
 
 namespace zombie
 {
@@ -91,18 +90,6 @@ struct SimResult
      */
     std::uint64_t events = 0;
 
-    /**
-     * Execution-strategy side channels, absent from toStatSet for
-     * the same reason: epoch mode and sharding must leave every
-     * pinned table byte-identical. Epoch counters are zero in serial
-     * mode; burst counters are zero with shards == 1.
-     */
-    std::uint64_t epochs = 0;
-    std::uint64_t rolledBackEpochs = 0;
-    std::uint64_t speculatedEvents = 0;
-    std::uint64_t shardedBursts = 0;
-    std::uint64_t serialForcedBursts = 0;
-
     /** Erase-count statistics at end of run (device lifetime). */
     WearSummary wear;
 
@@ -143,19 +130,18 @@ class Ssd
      */
     void process(const TraceRecord &rec);
 
-    /** Service a whole trace (prefill() first if configured). */
-    void run(const std::vector<TraceRecord> &records);
-
     /**
-     * Service a trace streamed from @p source with bounded memory:
-     * before each record is admitted, the engine first services
-     * everything scheduled strictly before the record's arrival, so
-     * at most the genuinely-concurrent window of commands is ever
-     * buffered. Byte-identical to run(records) — arrival events
-     * draw sequence numbers from a dedicated low band, so every
-     * event's (when, seq) dispatch key is the same whether arrivals
-     * are all scheduled up front or admitted as the clock reaches
-     * them (DESIGN.md section 7.16).
+     * The admission pump: service a trace streamed from @p source
+     * with bounded memory (prefill() first if configured). Before
+     * each record is admitted, the engine services everything
+     * scheduled strictly before the record's arrival, so at most the
+     * genuinely-concurrent window of commands is ever buffered.
+     * Byte-identical to submitting every record through process()
+     * and draining once — arrival events draw sequence numbers from
+     * a dedicated low band, so every event's (when, seq) dispatch
+     * key is the same whether arrivals are all scheduled up front or
+     * admitted as the clock reaches them, and the epoch sampler
+     * stays armed while input remains (DESIGN.md section 7.16).
      */
     void run(TraceSource &source);
 
@@ -193,9 +179,6 @@ class Ssd
     ReadCache cache;
     EventEngine engine;
     Controller controller_;
-
-    /** Flash-phase worker band; null unless cfg.shards > 1. */
-    std::unique_ptr<WorkerBand> band_;
 
     /** Stat namespace over every component (pure observation). */
     StatRegistry registry_;

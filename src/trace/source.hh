@@ -12,7 +12,7 @@
  *
  * Sources that read from files or other forward-only inputs cannot
  * rewind; multi-pass consumers (the LBA compactor's footprint scan,
- * streamed-vs-materialized differential tests) therefore work with a
+ * grid sweeps, differential tests) therefore work with a
  * TraceSourceFactory that rebuilds the chain from scratch. Every
  * source in this repo is deterministic, so two factory invocations
  * yield byte-identical record streams.
@@ -48,26 +48,38 @@ class TraceSource
 using TraceSourceFactory =
     std::function<std::unique_ptr<TraceSource>()>;
 
-/** Adapts a materialized trace (tests, offline analyses). */
+/**
+ * Replays an in-memory record vector. The records are shared and
+ * immutable, so any number of sources (one per grid cell, across
+ * threads) can replay one vector without copying it.
+ */
 class VectorSource : public TraceSource
 {
   public:
-    explicit VectorSource(std::vector<TraceRecord> records)
+    explicit VectorSource(
+        std::shared_ptr<const std::vector<TraceRecord>> records)
         : recs(std::move(records))
+    {
+    }
+
+    /** Take ownership of @p records. */
+    explicit VectorSource(std::vector<TraceRecord> records)
+        : recs(std::make_shared<const std::vector<TraceRecord>>(
+              std::move(records)))
     {
     }
 
     bool
     next(TraceRecord &out) override
     {
-        if (pos >= recs.size())
+        if (pos >= recs->size())
             return false;
-        out = recs[pos++];
+        out = (*recs)[pos++];
         return true;
     }
 
   private:
-    std::vector<TraceRecord> recs;
+    std::shared_ptr<const std::vector<TraceRecord>> recs;
     std::size_t pos = 0;
 };
 

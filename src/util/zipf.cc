@@ -38,8 +38,8 @@ hIntegralInverse(double x, double s)
 } // namespace
 
 ZipfDistribution::ZipfDistribution(std::uint64_t num_items,
-                                   double exponent, ZipfMethod method)
-    : items(num_items), s(exponent), kind(method)
+                                   double exponent)
+    : items(num_items), s(exponent)
 {
     zombie_assert(num_items >= 1, "Zipf needs a non-empty universe");
     zombie_assert(exponent >= 0.0, "Zipf exponent must be non-negative");
@@ -47,58 +47,6 @@ ZipfDistribution::ZipfDistribution(std::uint64_t num_items,
     hX0 = hIntegral(1.5, s) - 1.0;
     scale = 2.0 -
         hIntegralInverse(hIntegral(2.5, s) - h(2.0), s);
-    if (kind == ZipfMethod::Alias)
-        buildAliasTables();
-}
-
-void
-ZipfDistribution::buildAliasTables()
-{
-    zombie_assert(items <= 0xffffffffu,
-                  "alias tables index ranks with 32 bits");
-    const auto n = static_cast<std::size_t>(items);
-
-    // Walker/Vose construction: scale each rank's probability by n,
-    // then pair every under-full (< 1) column with an over-full
-    // donor. Stacks are filled in ascending rank order, so the
-    // resulting tables — and thus every draw — are a deterministic
-    // function of (n, s) alone.
-    double total = 0.0;
-    std::vector<double> scaled(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        scaled[k] = std::exp(-s * std::log(static_cast<double>(k + 1)));
-        total += scaled[k];
-    }
-    const double norm = static_cast<double>(n) / total;
-    for (std::size_t k = 0; k < n; ++k)
-        scaled[k] *= norm;
-
-    aliasProb.assign(n, 1.0);
-    aliasOf.resize(n);
-    std::vector<std::uint32_t> small;
-    std::vector<std::uint32_t> large;
-    small.reserve(n);
-    large.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        aliasOf[k] = static_cast<std::uint32_t>(k);
-        if (scaled[k] < 1.0)
-            small.push_back(static_cast<std::uint32_t>(k));
-        else
-            large.push_back(static_cast<std::uint32_t>(k));
-    }
-    while (!small.empty() && !large.empty()) {
-        const std::uint32_t under = small.back();
-        const std::uint32_t over = large.back();
-        small.pop_back();
-        aliasProb[under] = scaled[under];
-        aliasOf[under] = over;
-        scaled[over] -= 1.0 - scaled[under];
-        if (scaled[over] < 1.0) {
-            large.pop_back();
-            small.push_back(over);
-        }
-    }
-    // Residual columns are full up to rounding; they keep prob 1.
 }
 
 double
@@ -118,14 +66,6 @@ ZipfDistribution::sample(Xoshiro256 &rng) const
 {
     if (items == 1)
         return 0;
-
-    if (kind == ZipfMethod::Alias) {
-        // Exactly two draws: pick a column, then stay or follow the
-        // alias. The residual full columns have prob 1.0, so the
-        // comparison below always keeps them.
-        const std::uint64_t col = rng.nextBounded(items);
-        return rng.nextDouble() < aliasProb[col] ? col : aliasOf[col];
-    }
 
     if (s == 0.0)
         return rng.nextBounded(items);

@@ -13,35 +13,17 @@
 #define ZOMBIE_UTIL_ZIPF_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "util/random.hh"
 
 namespace zombie
 {
 
-/** Sampling algorithm backing a ZipfDistribution. */
-enum class ZipfMethod
-{
-    /**
-     * Rejection-Inversion (Hormann & Derflinger, 1996): O(1)
-     * expected per draw, no tables. The default; all pinned trace
-     * goldens were generated with this method's draw sequence.
-     */
-    RejectionInversion,
-
-    /**
-     * Walker/Vose alias tables: exactly two RNG draws per sample
-     * (O(1) worst-case), built once in O(n) with 16 bytes per rank.
-     * Consumes the RNG differently, so switching methods changes
-     * the generated trace for a given seed.
-     */
-    Alias,
-};
-
 /**
- * Zipf(s, n) sampler. O(1) per sample independent of n, exact for
- * s >= 0. Rank 0 is the most popular item.
+ * Zipf(s, n) sampler by rejection-inversion (Hormann & Derflinger,
+ * 1996): O(1) expected per sample independent of n, no tables, exact
+ * for s >= 0. Rank 0 is the most popular item. Every pinned trace
+ * golden was generated through this sampler's draw sequence.
  */
 class ZipfDistribution
 {
@@ -49,17 +31,14 @@ class ZipfDistribution
     /**
      * @param num_items Size of the universe (must be >= 1).
      * @param exponent Skew parameter s; 0 degenerates to uniform.
-     * @param method Sampling algorithm (see ZipfMethod).
      */
-    ZipfDistribution(std::uint64_t num_items, double exponent,
-                     ZipfMethod method = ZipfMethod::RejectionInversion);
+    ZipfDistribution(std::uint64_t num_items, double exponent);
 
     /** Draw a rank in [0, numItems). */
     std::uint64_t sample(Xoshiro256 &rng) const;
 
     std::uint64_t numItems() const { return items; }
     double exponent() const { return s; }
-    ZipfMethod method() const { return kind; }
 
     /**
      * Fraction of probability mass held by the top `top_ranks` items.
@@ -70,18 +49,12 @@ class ZipfDistribution
   private:
     double h(double x) const;
     double hInverse(double x) const;
-    void buildAliasTables();
 
     std::uint64_t items;
     double s;
-    ZipfMethod kind;
     double hImaxPlus1;
     double hX0;
     double scale;
-
-    /** Alias tables (built only for ZipfMethod::Alias). */
-    std::vector<double> aliasProb;
-    std::vector<std::uint32_t> aliasOf;
 };
 
 } // namespace zombie

@@ -113,46 +113,6 @@ TEST(AllocRegression, SteadyStateIsAllocationFreeUnderDvpChurn)
 }
 
 /**
- * Sharded flash-phase cell: GC bursts fan out over the worker band
- * thousands of times (DESIGN.md section 7.14), and the process-wide
- * allocation counter sees every thread — the per-channel partition
- * buffers, shard-tail table and band handshake must all be warmed
- * capacity, never fresh heap.
- */
-TEST(AllocRegression, SteadyStateIsAllocationFreeWhenSharded)
-{
-    WorkloadProfile profile =
-        WorkloadProfile::preset(Workload::Mail, 1, 12'000, 17);
-    profile.writeRatio = 0.9; // write-heavy: constant GC pressure
-    SsdConfig cfg = SsdConfig::forProfile(profile, SystemKind::Baseline);
-    cfg.queueDepth = 8;
-    cfg.shards = 4;
-    // Deep incremental-GC budget: bursts clear the scheduler's
-    // serial-fallback threshold, so the band path genuinely runs.
-    cfg.gcPagesPerStep = 24;
-
-    Ssd ssd(cfg);
-    ssd.prefill();
-    const auto records = SyntheticTraceGenerator(profile).generateAll();
-    const Tick first = records.front().arrival;
-    const auto replay = [&ssd, &records, first]() {
-        const Tick base = ssd.events().now() + 1;
-        for (const TraceRecord &rec : records) {
-            TraceRecord shifted = rec;
-            shifted.arrival = base + (rec.arrival - first);
-            ssd.process(shifted);
-        }
-        ssd.drain();
-    };
-
-    replay();
-    replay();
-    const std::uint64_t before = heapAllocCount();
-    replay();
-    EXPECT_EQ(heapAllocCount() - before, 0u);
-}
-
-/**
  * Multi-tenant cell: per-tenant submission queues, the weighted
  * arbiter, tenant stat slices and partitioned pools must all follow
  * the same warm-up-then-reuse discipline with telemetry off.

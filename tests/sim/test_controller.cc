@@ -43,7 +43,8 @@ TEST(Controller, DepthOneMatchesRecordedSerializedRun)
     ASSERT_EQ(cfg.queueDepth, 1u);
 
     Ssd ssd(cfg);
-    ssd.run(SyntheticTraceGenerator(profile).generateAll());
+    VectorSource src(SyntheticTraceGenerator(profile).generateAll());
+    ssd.run(src);
     const SimResult r = ssd.result();
 
     EXPECT_EQ(r.makespan, 147046669u);

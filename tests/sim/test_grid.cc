@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/grid.hh"
+#include "temp_path.hh"
 #include "trace/formats.hh"
 #include "trace/generator.hh"
 
@@ -29,7 +30,7 @@ class GridTest : public testing::Test
     std::string
     tempPath()
     {
-        return testing::TempDir() + "zombie_grid_test.csv";
+        return test::uniqueTempPath("grid.csv");
     }
 
     void TearDown() override { std::remove(tempPath().c_str()); }
@@ -58,13 +59,11 @@ class GridTest : public testing::Test
 TEST_F(GridTest, ParseReadsEveryAxis)
 {
     const GridSpec spec = parseGridSpec(
-        "system=dedup,dvp;depth=1,32;gc=greedy;engine=epoch;"
-        "pool=5000");
+        "system=dedup,dvp;depth=1,32;gc=greedy;pool=5000");
     EXPECT_EQ(spec.systems,
               (std::vector<std::string>{"dedup", "dvp"}));
     EXPECT_EQ(spec.depths, (std::vector<std::uint32_t>{1, 32}));
     EXPECT_EQ(spec.gcPolicies, (std::vector<std::string>{"greedy"}));
-    EXPECT_EQ(spec.engines, (std::vector<std::string>{"epoch"}));
     EXPECT_EQ(spec.pools, (std::vector<std::uint64_t>{5000}));
     EXPECT_EQ(spec.cells(), 4u); // 2 systems x 2 depths
 }
@@ -89,6 +88,8 @@ TEST(GridDeath, ParseRejectsMalformedSpecs)
                 testing::ExitedWithCode(1), "unknown gc policy");
     EXPECT_EXIT((void)parseGridSpec("system=raid"),
                 testing::ExitedWithCode(1), "unknown system");
+    EXPECT_EXIT((void)parseGridSpec("engine=serial"),
+                testing::ExitedWithCode(1), "unknown grid axis");
 }
 
 TEST_F(GridTest, ExpandIsAxisMajorWithMinimalLabels)

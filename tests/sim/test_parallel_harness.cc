@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim_bench.hh"
+#include "temp_path.hh"
 
 namespace zombie
 {
@@ -75,13 +77,15 @@ TEST(ParallelHarness, JobsValueDoesNotChangeResults)
 
 TEST(ParallelHarness, CsvIsByteIdenticalAcrossJobs)
 {
-    const std::string p1 = testing::TempDir() + "harness_j1.csv";
-    const std::string p4 = testing::TempDir() + "harness_j4.csv";
+    const std::string p1 = test::uniqueTempPath("harness_j1.csv");
+    const std::string p4 = test::uniqueTempPath("harness_j4.csv");
     bench::writeCsvRows(p1, runGrid(1));
     bench::writeCsvRows(p4, runGrid(4));
 
     const std::string csv1 = slurp(p1);
     const std::string csv4 = slurp(p4);
+    std::remove(p1.c_str());
+    std::remove(p4.c_str());
     ASSERT_FALSE(csv1.empty());
     EXPECT_EQ(csv1, csv4);
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "sim/read_cache.hh"
 #include "sim/ssd.hh"
 #include "trace/generator.hh"
@@ -81,7 +84,8 @@ TEST(ReadCacheSim, RepeatedReadsHitTheCache)
         WorkloadProfile::preset(Workload::Desktop, 1, 20'000, 3);
     SsdConfig cfg = SsdConfig::forProfile(profile, SystemKind::Baseline);
     Ssd ssd(cfg);
-    ssd.run(SyntheticTraceGenerator(profile).generateAll());
+    VectorSource src(SyntheticTraceGenerator(profile).generateAll());
+    ssd.run(src);
     const SimResult r = ssd.result();
     EXPECT_GT(r.readCache.hits, 0u);
     // Functional conservation (the cache is a timing-layer overlay:
@@ -106,9 +110,11 @@ TEST(ReadCacheSim, DisablingTheCacheSlowsHotReads)
     without.readCacheEntries = 0;
 
     Ssd a(with), b(without);
-    const auto trace = SyntheticTraceGenerator(profile).generateAll();
-    a.run(trace);
-    b.run(trace);
+    const auto trace = std::make_shared<const std::vector<TraceRecord>>(
+        SyntheticTraceGenerator(profile).generateAll());
+    VectorSource src_a(trace), src_b(trace);
+    a.run(src_a);
+    b.run(src_b);
     EXPECT_LT(a.result().readLatency.mean(),
               b.result().readLatency.mean());
     EXPECT_EQ(b.result().readCache.hits, 0u);
@@ -125,9 +131,11 @@ TEST(ReadCacheSim, CacheTamesDedupReadHotspot)
     without.readCacheEntries = 0;
 
     Ssd a(with), b(without);
-    const auto trace = SyntheticTraceGenerator(profile).generateAll();
-    a.run(trace);
-    b.run(trace);
+    const auto trace = std::make_shared<const std::vector<TraceRecord>>(
+        SyntheticTraceGenerator(profile).generateAll());
+    VectorSource src_a(trace), src_b(trace);
+    a.run(src_a);
+    b.run(src_b);
     EXPECT_LE(a.result().readLatency.mean(),
               b.result().readLatency.mean());
 }

@@ -31,7 +31,8 @@ SimResult
 runOn(SystemKind kind, const WorkloadProfile &profile)
 {
     Ssd ssd(configFor(kind, profile));
-    ssd.run(SyntheticTraceGenerator(profile).generateAll());
+    VectorSource src(SyntheticTraceGenerator(profile).generateAll());
+    ssd.run(src);
     return ssd.result();
 }
 
@@ -56,7 +57,8 @@ TEST(Ssd, MeasurementExcludesPrefillActivity)
         ssd.flash().counters().programs;
     ASSERT_GT(prefill_programs, 0u);
 
-    ssd.run(SyntheticTraceGenerator(profile).generateAll());
+    VectorSource src(SyntheticTraceGenerator(profile).generateAll());
+    ssd.run(src);
     const SimResult r = ssd.result();
     EXPECT_LT(r.flashPrograms, prefill_programs);
     EXPECT_LE(r.flashPrograms,
@@ -112,7 +114,8 @@ TEST(Ssd, IdealAtLeastMatchesBoundedPool)
     SsdConfig small = configFor(SystemKind::MqDvp, profile);
     small.mq.capacity = 2'000; // force evictions
     Ssd bounded(small);
-    bounded.run(SyntheticTraceGenerator(profile).generateAll());
+    VectorSource src(SyntheticTraceGenerator(profile).generateAll());
+    bounded.run(src);
 
     const SimResult ideal = runOn(SystemKind::Ideal, profile);
     EXPECT_LE(ideal.flashPrograms, bounded.result().flashPrograms);

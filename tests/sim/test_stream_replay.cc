@@ -2,12 +2,14 @@
  * @file
  * Streamed bounded-memory replay tests (DESIGN.md section 7.16).
  *
- * The streamed admission pump (Ssd::run(TraceSource&)) must be
- * byte-identical to materialized replay — arrival events draw from a
- * dedicated low sequence band, so every event's (when, seq) dispatch
- * key is independent of when the arrival was pushed — and its heap
- * footprint must scale with the trace's address footprint, not its
- * record count.
+ * The admission pump (Ssd::run(TraceSource&)) must be byte-identical
+ * to the submit-everything reference below, which puts every record
+ * in the host queue before the engine runs and drains once: arrival
+ * events draw from a dedicated low sequence band, so every event's
+ * (when, seq) dispatch key is independent of when the arrival was
+ * pushed, and the epoch sampler stays armed while input remains. The
+ * pump's heap footprint must also scale with the trace's address
+ * footprint, not its record count.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +17,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hh"
 #include "sim/ssd.hh"
+#include "temp_path.hh"
 #include "trace/formats.hh"
 #include "trace/generator.hh"
 #include "trace/prefetch.hh"
@@ -29,13 +33,44 @@ namespace zombie
 namespace
 {
 
+/**
+ * The submit-everything reference: every record enters the host
+ * queue before the engine runs at all, then one drain.
+ */
+void
+submitAll(Ssd &ssd, TraceSource &source)
+{
+    ssd.prefill();
+    TraceRecord rec;
+    while (source.next(rec))
+        ssd.process(rec);
+    ssd.drain();
+}
+
+/**
+ * Results of @p scan replayed through runSystemOnScannedTrace (the
+ * pump) and through submitAll on the identical drive, in that order.
+ */
+std::pair<SimResult, SimResult>
+pumpAndReference(const ScannedTrace &scan, SystemKind system,
+                 ExperimentOptions opts)
+{
+    SsdConfig cfg;
+    opts.tweak = [&cfg](SsdConfig &c) { cfg = c; };
+    SimResult pumped = runSystemOnScannedTrace(scan, system, opts);
+    Ssd reference(cfg);
+    const auto src = scan.factory();
+    submitAll(reference, *src);
+    return {std::move(pumped), reference.result()};
+}
+
 class StreamReplayTest : public testing::Test
 {
   protected:
     std::string
     tempPath()
     {
-        return testing::TempDir() + "zombie_stream_replay_test.csv";
+        return test::uniqueTempPath("stream_replay.csv");
     }
 
     void TearDown() override { std::remove(tempPath().c_str()); }
@@ -86,31 +121,26 @@ TEST_F(StreamReplayTest, StreamedMatchesMaterializedOnCsv)
 
     ExperimentOptions opts;
     opts.poolCapacity = 2'000;
-    const SimResult streamed = runSystemOnScannedTrace(
-        scan, SystemKind::MqDvp, opts, /*streamed=*/true);
-    const SimResult materialized = runSystemOnScannedTrace(
-        scan, SystemKind::MqDvp, opts, /*streamed=*/false);
+    const auto [streamed, materialized] =
+        pumpAndReference(scan, SystemKind::MqDvp, opts);
     EXPECT_EQ(streamed.toStatSet().format(),
               materialized.toStatSet().format());
     EXPECT_GT(streamed.requests, 0u);
 }
 
-TEST_F(StreamReplayTest, StreamedMatchesMaterializedEpochDeepQueue)
+TEST_F(StreamReplayTest, StreamedMatchesMaterializedDeepQueue)
 {
-    // The epoch engine's speculative lanes bound their horizon by
-    // the pump's (when, seq) key; identity must survive speculation,
-    // rollback and a deep host queue.
+    // Identity must also hold with dedup on top of the pool and a
+    // deep host queue, where many commands are in flight whenever
+    // the pump admits the next record.
     const ExternalTraceConfig tcfg = writeGeneratedCsv(8'000, 22);
     const ScannedTrace scan = scanExternalTrace(tcfg);
 
     ExperimentOptions opts;
     opts.poolCapacity = 2'000;
     opts.queueDepth = 8;
-    opts.engine = "epoch";
-    const SimResult streamed = runSystemOnScannedTrace(
-        scan, SystemKind::DvpDedup, opts, /*streamed=*/true);
-    const SimResult materialized = runSystemOnScannedTrace(
-        scan, SystemKind::DvpDedup, opts, /*streamed=*/false);
+    const auto [streamed, materialized] =
+        pumpAndReference(scan, SystemKind::DvpDedup, opts);
     EXPECT_EQ(streamed.toStatSet().format(),
               materialized.toStatSet().format());
 }
@@ -118,7 +148,7 @@ TEST_F(StreamReplayTest, StreamedMatchesMaterializedEpochDeepQueue)
 TEST_F(StreamReplayTest, StreamedGeneratorMatchesProcessLoop)
 {
     // The pump also serves plain generated workloads: streaming the
-    // generator through run(TraceSource&) must equal the historical
+    // generator through run(TraceSource&) must equal the
     // submit-everything-then-drain loop.
     const WorkloadProfile profile =
         WorkloadProfile::preset(Workload::Web, 1, 10'000, 33);
@@ -126,14 +156,11 @@ TEST_F(StreamReplayTest, StreamedGeneratorMatchesProcessLoop)
     cfg.queueDepth = 4;
 
     Ssd materialized(cfg);
-    materialized.prefill();
-    const auto records =
-        SyntheticTraceGenerator(profile).generateAll();
-    materialized.run(records);
+    VectorSource records(SyntheticTraceGenerator(profile).generateAll());
+    submitAll(materialized, records);
     const StatSet want = materialized.result().toStatSet();
 
     Ssd streamed(cfg);
-    streamed.prefill();
     SyntheticTraceGenerator gen(profile);
     streamed.run(gen);
     const StatSet got = streamed.result().toStatSet();
@@ -141,33 +168,75 @@ TEST_F(StreamReplayTest, StreamedGeneratorMatchesProcessLoop)
     EXPECT_EQ(got.format(), want.format());
 }
 
+TEST_F(StreamReplayTest, SamplerSeriesMatchesSubmitAll)
+{
+    // A fine sampling interval leaves idle gaps between arrivals.
+    // The pump keeps the sampler chain armed while it still has
+    // input, so it closes exactly the epochs the submit-everything
+    // run closes: same rows, same boundaries, same counter deltas.
+    // Only the ctrl.outstanding gauge may differ — under
+    // submit-everything it also counts commands that have not
+    // arrived yet.
+    const WorkloadProfile profile =
+        WorkloadProfile::preset(Workload::Mail, 1, 20'000, 42);
+    SsdConfig cfg = SsdConfig::forProfile(profile, SystemKind::MqDvp);
+    cfg.mq.capacity = 5'000;
+    cfg.statsInterval = ticksFromUs(100.0);
+
+    Ssd reference(cfg);
+    SyntheticTraceGenerator ref_gen(profile);
+    submitAll(reference, ref_gen);
+    (void)reference.result();
+
+    Ssd pumped(cfg);
+    SyntheticTraceGenerator gen(profile);
+    pumped.run(gen);
+    (void)pumped.result();
+
+    const EpochSampler &want = *reference.sampler();
+    const EpochSampler &got = *pumped.sampler();
+    ASSERT_EQ(got.counterColumns(), want.counterColumns());
+    ASSERT_EQ(got.gaugeColumns(), want.gaugeColumns());
+    ASSERT_EQ(got.rows().size(), want.rows().size());
+    ASSERT_GT(want.rows().size(), 1000u);
+    const auto &gauges = want.gaugeColumns();
+    for (std::size_t i = 0; i < want.rows().size(); ++i) {
+        const EpochRow &w = want.rows()[i];
+        const EpochRow &g = got.rows()[i];
+        ASSERT_EQ(g.start, w.start) << "row " << i;
+        ASSERT_EQ(g.end, w.end) << "row " << i;
+        ASSERT_EQ(g.deltas, w.deltas) << "row " << i;
+        for (std::size_t c = 0; c < gauges.size(); ++c) {
+            if (gauges[c] != "ctrl.outstanding") {
+                ASSERT_EQ(g.gauges[c], w.gauges[c])
+                    << "row " << i << " gauge " << gauges[c];
+            }
+        }
+    }
+}
+
 TEST_F(StreamReplayTest, PrefetchIsByteIdenticalAcrossBatchSizes)
 {
     // Decode-ahead prefetch (trace/prefetch.hh) must be invisible:
-    // under both event engines, every batch size — including a
-    // degenerate one-record batch that maximizes producer/consumer
-    // interleaving — must match the inline pull (prefetchBatch = 0)
-    // and the materialized replay byte for byte.
+    // every batch size — including a degenerate one-record batch
+    // that maximizes producer/consumer interleaving — must match the
+    // inline pull (prefetchBatch = 0) and the submit-everything
+    // reference byte for byte.
     const ExternalTraceConfig tcfg = writeGeneratedCsv(8'000, 24);
     const ScannedTrace scan = scanExternalTrace(tcfg);
     ASSERT_GT(scan.records, 0u);
 
-    for (const char *engine : {"serial", "epoch"}) {
-        ExperimentOptions opts;
-        opts.poolCapacity = 2'000;
-        opts.queueDepth = 8;
-        opts.engine = engine;
-        const std::string want = runSystemOnScannedTrace(
-            scan, SystemKind::MqDvp, opts, /*streamed=*/false)
-                .toStatSet().format();
-        for (const std::uint64_t batch : {0, 1, 7, 4096}) {
-            opts.prefetchBatch = batch;
-            const std::string got = runSystemOnScannedTrace(
-                scan, SystemKind::MqDvp, opts, /*streamed=*/true)
-                    .toStatSet().format();
-            EXPECT_EQ(got, want)
-                << "engine=" << engine << " batch=" << batch;
-        }
+    ExperimentOptions opts;
+    opts.poolCapacity = 2'000;
+    opts.queueDepth = 8;
+    const std::string want =
+        pumpAndReference(scan, SystemKind::MqDvp, opts)
+            .second.toStatSet().format();
+    for (const std::uint64_t batch : {0, 1, 7, 4096}) {
+        opts.prefetchBatch = batch;
+        const std::string got = runSystemOnScannedTrace(
+            scan, SystemKind::MqDvp, opts).toStatSet().format();
+        EXPECT_EQ(got, want) << "batch=" << batch;
     }
 }
 

@@ -257,7 +257,8 @@ TEST(TenantAccounting, TenantStatPathsOnlyWhenMultiTenant)
         SsdConfig::forFootprint(p.totalLpnSpace(), SystemKind::MqDvp);
     single.mq.capacity = 1'000;
     Ssd one(single);
-    one.run(SyntheticTraceGenerator(p).generateAll());
+    VectorSource one_src(SyntheticTraceGenerator(p).generateAll());
+    one.run(one_src);
     (void)one.result();
     EXPECT_FALSE(one.statRegistry().has("tenant.0.submitted"));
 
@@ -269,7 +270,8 @@ TEST(TenantAccounting, TenantStatPathsOnlyWhenMultiTenant)
     multi.queueDepth = 4;
     multi.namespacePages = gen.allNamespacePages();
     Ssd two(multi);
-    two.run(gen.generateAll());
+    VectorSource two_src(gen.generateAll());
+    two.run(two_src);
     const SimResult r = two.result();
     const StatRegistry &reg = two.statRegistry();
     for (const char *path :
@@ -298,7 +300,8 @@ TEST(TenantAccounting, PartitionedDvpAggregatesPerTenantPools)
     cfg.dvpScope = DvpScope::Partitioned;
     cfg.namespacePages = gen.allNamespacePages();
     Ssd ssd(cfg);
-    ssd.run(gen.generateAll());
+    VectorSource src(gen.generateAll());
+    ssd.run(src);
     const SimResult r = ssd.result();
 
     const StatRegistry &reg = ssd.statRegistry();

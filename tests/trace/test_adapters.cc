@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_path.hh"
 #include "trace/adapters.hh"
 #include "util/types.hh"
 
@@ -24,7 +25,7 @@ class TraceAdaptersTest : public testing::Test
     std::string
     tempPath()
     {
-        return testing::TempDir() + "zombie_trace_adapters_test.csv";
+        return test::uniqueTempPath("adapters.csv");
     }
 
     void TearDown() override { std::remove(tempPath().c_str()); }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_path.hh"
 #include "trace/formats.hh"
 #include "util/types.hh"
 
@@ -23,7 +24,7 @@ class TraceFormatsTest : public testing::Test
     std::string
     tempPath()
     {
-        return testing::TempDir() + "zombie_trace_formats_test.trc";
+        return test::uniqueTempPath("formats.trc");
     }
 
     void TearDown() override { std::remove(tempPath().c_str()); }

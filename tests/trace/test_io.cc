@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_path.hh"
 #include "trace/generator.hh"
 #include "trace/io.hh"
 
@@ -22,7 +23,7 @@ class TraceIoTest : public testing::Test
     std::string
     tempPath()
     {
-        return testing::TempDir() + "zombie_trace_io_test.trc";
+        return test::uniqueTempPath("io.trc");
     }
 
     void TearDown() override { std::remove(tempPath().c_str()); }

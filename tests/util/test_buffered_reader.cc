@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "temp_path.hh"
 #include "util/buffered_reader.hh"
 #include "util/byte_source.hh"
 
@@ -161,8 +162,7 @@ TEST(ByteSource, OpenSniffsGzipFile)
 {
     if (!compressionSupported(Compression::Gzip))
         GTEST_SKIP() << "built without zlib";
-    const std::string path =
-        testing::TempDir() + "zombie_bytesource_test.gz";
+    const std::string path = test::uniqueTempPath("bytesource.gz");
     {
         std::ofstream out(path, std::ios::binary);
         out << bytes(kGzAlpha, sizeof(kGzAlpha));

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_path.hh"
 #include "util/csv.hh"
 
 namespace zombie
@@ -31,7 +32,7 @@ class CsvTest : public testing::Test
     std::string
     tempPath()
     {
-        return testing::TempDir() + "zombie_csv_test.csv";
+        return test::uniqueTempPath("csv_test.csv");
     }
 
     void TearDown() override { std::remove(tempPath().c_str()); }

@@ -145,95 +145,6 @@ TEST(Zipf, DefaultMethodDrawSequenceIsPinned)
         EXPECT_EQ(uniform.sample(uniform_rng), want);
 }
 
-TEST(ZipfAlias, SamplesStayInRange)
-{
-    Xoshiro256 rng(11);
-    ZipfDistribution zipf(100, 1.0, ZipfMethod::Alias);
-    EXPECT_EQ(zipf.method(), ZipfMethod::Alias);
-    for (int i = 0; i < 50000; ++i)
-        ASSERT_LT(zipf.sample(rng), 100u);
-}
-
-TEST(ZipfAlias, ConsumesExactlyTwoDrawsPerSample)
-{
-    // The alias sampler's contract: one bounded draw (column), one
-    // double draw (keep-or-alias). Advancing a twin RNG by exactly
-    // those two draws must leave both streams in lockstep.
-    ZipfDistribution zipf(100, 1.2, ZipfMethod::Alias);
-    Xoshiro256 a(12), b(12);
-    for (int i = 0; i < 1000; ++i) {
-        zipf.sample(a);
-        b.nextBounded(100);
-        b.nextDouble();
-        ASSERT_EQ(a(), b());
-    }
-}
-
-TEST(ZipfAlias, DeterministicGivenRngSeed)
-{
-    ZipfDistribution zipf(500, 0.9, ZipfMethod::Alias);
-    Xoshiro256 a(13), b(13);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_EQ(zipf.sample(a), zipf.sample(b));
-}
-
-TEST(ZipfAlias, HeadProbabilityMatchesAnalytic)
-{
-    Xoshiro256 rng(14);
-    ZipfDistribution zipf(100, 1.0, ZipfMethod::Alias);
-    const int n = 400000;
-    int head = 0;
-    for (int i = 0; i < n; ++i) {
-        if (zipf.sample(rng) == 0)
-            ++head;
-    }
-    EXPECT_NEAR(head / static_cast<double>(n), 1.0 / 5.187, 0.01);
-}
-
-TEST(ZipfAlias, EmpiricalTopMassTracksAnalytic)
-{
-    Xoshiro256 rng(15);
-    ZipfDistribution zipf(500, 1.2, ZipfMethod::Alias);
-    const int n = 300000;
-    std::vector<int> counts(500, 0);
-    for (int i = 0; i < n; ++i)
-        ++counts[zipf.sample(rng)];
-    int top50 = 0;
-    for (int i = 0; i < 50; ++i)
-        top50 += counts[i];
-    EXPECT_NEAR(top50 / static_cast<double>(n),
-                zipf.topMassFraction(50), 0.01);
-}
-
-TEST(ZipfAlias, ZeroExponentIsUniform)
-{
-    Xoshiro256 rng(16);
-    ZipfDistribution zipf(10, 0.0, ZipfMethod::Alias);
-    std::map<std::uint64_t, int> counts;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        ++counts[zipf.sample(rng)];
-    for (const auto &[rank, c] : counts)
-        EXPECT_NEAR(c, n / 10.0, n * 0.01);
-}
-
-TEST(ZipfAlias, AgreesWithRejectionInversionDistribution)
-{
-    // Same (n, s), different algorithms: the two samplers must draw
-    // from the same distribution even though their streams differ.
-    ZipfDistribution ri(200, 1.1);
-    ZipfDistribution alias(200, 1.1, ZipfMethod::Alias);
-    Xoshiro256 rng_a(17), rng_b(18);
-    const int n = 300000;
-    std::vector<double> freq_a(200, 0.0), freq_b(200, 0.0);
-    for (int i = 0; i < n; ++i) {
-        freq_a[ri.sample(rng_a)] += 1.0 / n;
-        freq_b[alias.sample(rng_b)] += 1.0 / n;
-    }
-    for (int r = 0; r < 20; ++r)
-        EXPECT_NEAR(freq_a[r], freq_b[r], 0.01);
-}
-
 TEST(ZipfDeath, RejectsEmptyUniverse)
 {
     EXPECT_DEATH({ ZipfDistribution zipf(0, 1.0); }, "universe");
