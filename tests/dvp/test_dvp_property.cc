@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -38,6 +39,15 @@ struct PoolCase
     bool bounded;
     bool content_keyed;
 };
+
+// Without this gtest prints PoolCase as raw bytes, heap pointers
+// included, and gtest_discover_tests puts that text into the ctest
+// name, so the names would change from one build to the next.
+void
+PrintTo(const PoolCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
 
 std::vector<PoolCase>
 allPools()
