@@ -146,6 +146,37 @@ for preset in $presets; do
         echo "==> gzip replay smoke [$preset] (skipped: no gzip)" >&2
     fi
 
+    # Shared-content replay smoke: an awk-generated FIU blkio file
+    # whose MD5 column repeats, replayed on DVP+Dedup, so many LPNs
+    # share one physical page and GC relocates shared pages. One
+    # write in three draws from a 16-value alphabet that rotates
+    # every 5000 records (owner chains tens of LPNs long); the rest
+    # draw from 20000 values, which die, revive and get reprogrammed
+    # enough to trigger GC. Fixed /tmp path, as above, so the banner
+    # matches across presets.
+    echo "==> FIU dedup replay smoke [$preset]"
+    fiu_fixture=/tmp/zombie_replay_smoke_fiu.txt
+    awk 'BEGIN {
+        x = 42
+        for (i = 0; i < 100000; i++) {
+            x = (x * 48271) % 2147483647
+            op = (i % 4 == 3) ? "R" : "W"
+            if (i % 4 == 0)
+                v = int(i / 5000) * 16 + x % 16
+            else
+                v = 1000000 + x % 20000
+            printf "%d %d proc %d 8 %s 8 0 %08x%08x%08x%08x\n",
+                i * 30, 1000 + i % 7, ((i * 7919) % 4096) * 8, op,
+                v * 2654435 % 2147483647, v + 17, v * 97 % 65521,
+                305419896
+        }
+    }' > "$fiu_fixture"
+    "$bindir"/examples/simulate_trace --trace-file "$fiu_fixture" \
+        --trace-format fiu --system dvp+dedup --queue-depth 8 \
+        > "$bindir/replay_fiu_dedup.smoke.txt"
+    diff -u tests/golden/smoke/replay_fiu_dedup.txt \
+        "$bindir/replay_fiu_dedup.smoke.txt"
+
     # Scan-once grid smoke: a 2x2 sweep from the (now gzipped)
     # fixture, two cells at a time. Deterministic like everything
     # else — the whole stdout (per-cell stats and summary table)

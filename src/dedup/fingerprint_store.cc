@@ -9,10 +9,7 @@ namespace zombie
 
 FingerprintStore::FingerprintStore(std::uint64_t expected_pages)
 {
-    const std::uint64_t expected =
-        std::min<std::uint64_t>(expected_pages, 1u << 22);
-    byFp.reserve(expected);
-    byPpn.reserve(expected);
+    byFp.reserve(std::min<std::uint64_t>(expected_pages, 1u << 22));
 }
 
 std::optional<Ppn>
@@ -25,14 +22,18 @@ FingerprintStore::lookup(const Fingerprint &fp)
     return it->second.ppn;
 }
 
+const FingerprintStore::Entry *
+FingerprintStore::find(const Fingerprint &fp) const
+{
+    auto it = byFp.find(fp);
+    return it == byFp.end() ? nullptr : &it->second;
+}
+
 void
 FingerprintStore::registerPage(const Fingerprint &fp, Ppn ppn)
 {
-    zombie_assert(!byFp.count(fp),
-                  "fingerprint already live: ", fp.hex());
-    zombie_assert(!byPpn.count(ppn), "PPN already indexed: ", ppn);
-    byFp[fp] = Record{ppn, 1, 1};
-    byPpn[ppn] = fp;
+    const bool fresh = byFp.insert({fp, Entry{ppn, 1, 1}}).second;
+    zombie_assert(fresh, "fingerprint already live: ", fp.hex());
     ++dstats.registered;
 }
 
@@ -50,56 +51,48 @@ FingerprintStore::addReference(const Fingerprint &fp)
 }
 
 std::uint32_t
-FingerprintStore::releaseReference(Ppn ppn)
+FingerprintStore::releaseReference(const Fingerprint &fp)
 {
-    auto pit = byPpn.find(ppn);
-    zombie_assert(pit != byPpn.end(),
-                  "releaseReference on untracked PPN ", ppn);
-    auto fit = byFp.find(pit->second);
-    zombie_assert(fit != byFp.end(), "fingerprint store desync");
-    zombie_assert(fit->second.refs > 0, "refcount underflow");
+    auto it = byFp.find(fp);
+    zombie_assert(it != byFp.end(),
+                  "releaseReference on untracked content ", fp.hex());
+    zombie_assert(it->second.refs > 0, "refcount underflow");
 
-    const std::uint32_t remaining = --fit->second.refs;
+    const std::uint32_t remaining = --it->second.refs;
     if (remaining == 0) {
-        byFp.erase(fit);
-        byPpn.erase(pit);
+        byFp.erase(it);
         ++dstats.lastRefDrops;
     }
     return remaining;
 }
 
 void
-FingerprintStore::relocate(Ppn from, Ppn to)
+FingerprintStore::relocate(const Fingerprint &fp, Ppn to)
 {
-    auto pit = byPpn.find(from);
-    zombie_assert(pit != byPpn.end(), "relocate of untracked PPN ", from);
-    const Fingerprint fp = pit->second;
-    byPpn.erase(pit);
-    zombie_assert(!byPpn.count(to), "relocate target already indexed");
-    byPpn[to] = fp;
-    byFp[fp].ppn = to;
+    auto it = byFp.find(fp);
+    zombie_assert(it != byFp.end(), "relocate of untracked content ",
+                  fp.hex());
+    it->second.ppn = to;
 }
 
 std::uint32_t
-FingerprintStore::refCount(Ppn ppn) const
+FingerprintStore::refCount(const Fingerprint &fp) const
 {
-    auto pit = byPpn.find(ppn);
-    if (pit == byPpn.end())
-        return 0;
-    return byFp.at(pit->second).refs;
+    const Entry *e = find(fp);
+    return e ? e->refs : 0;
 }
 
 std::uint8_t
 FingerprintStore::popularity(const Fingerprint &fp) const
 {
-    auto it = byFp.find(fp);
-    return it == byFp.end() ? 0 : it->second.pop;
+    const Entry *e = find(fp);
+    return e ? e->pop : 0;
 }
 
 bool
 FingerprintStore::contains(const Fingerprint &fp) const
 {
-    return byFp.count(fp) > 0;
+    return byFp.contains(fp);
 }
 
 void

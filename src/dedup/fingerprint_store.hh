@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "hash/fingerprint.hh"
 #include "telemetry/stat_registry.hh"
@@ -42,14 +41,29 @@ struct DedupStats
     }
 };
 
-/** Live-content index: fingerprint -> (PPN, refcount, popularity). */
+/**
+ * Live-content index: fingerprint -> (PPN, refcount, popularity).
+ *
+ * One map keyed by content. The reverse direction (which content a
+ * physical page holds) is the mapping table's: every owner LPN of a
+ * live page records the page's fingerprint, so callers name the
+ * content, not the page, when they drop or move it.
+ */
 class FingerprintStore
 {
   public:
+    /** Live state of one content fingerprint. */
+    struct Entry
+    {
+        Ppn ppn = 0;
+        std::uint32_t refs = 0;
+        std::uint8_t pop = 0;
+    };
+
     /**
      * @param expected_pages expected number of live fingerprints;
-     * pre-sizes the hash tables so steady-state inserts never rehash
-     * (0 leaves the tables to grow on demand).
+     * pre-sizes the hash table so steady-state inserts never rehash
+     * (0 leaves the table to grow on demand).
      */
     explicit FingerprintStore(std::uint64_t expected_pages = 0);
 
@@ -58,6 +72,13 @@ class FingerprintStore
      * holding this content, or nullopt.
      */
     std::optional<Ppn> lookup(const Fingerprint &fp);
+
+    /**
+     * The live entry of @p fp, or nullptr. Counts nothing, so audits
+     * can read the store without moving its stats; the pointer is
+     * invalidated by any later mutation.
+     */
+    const Entry *find(const Fingerprint &fp) const;
 
     /** Register newly programmed (or revived) content with ref 1. */
     void registerPage(const Fingerprint &fp, Ppn ppn);
@@ -69,17 +90,17 @@ class FingerprintStore
     std::uint8_t addReference(const Fingerprint &fp);
 
     /**
-     * An LPN stopped referencing the content at @p ppn.
+     * An LPN stopped referencing live content @p fp.
      * @return remaining references; 0 means the physical page just
-     * became garbage (and is dropped from the store).
+     * became garbage (and the content is dropped from the store).
      */
-    std::uint32_t releaseReference(Ppn ppn);
+    std::uint32_t releaseReference(const Fingerprint &fp);
 
-    /** GC moved live content from @p from to @p to. */
-    void relocate(Ppn from, Ppn to);
+    /** GC moved live content @p fp to page @p to. */
+    void relocate(const Fingerprint &fp, Ppn to);
 
-    /** Current references to the content at @p ppn (0 if untracked). */
-    std::uint32_t refCount(Ppn ppn) const;
+    /** Current references to content @p fp (0 if untracked). */
+    std::uint32_t refCount(const Fingerprint &fp) const;
 
     /** Write-popularity degree of live content (0 if untracked). */
     std::uint8_t popularity(const Fingerprint &fp) const;
@@ -96,15 +117,7 @@ class FingerprintStore
     void registerStats(StatRegistry &registry) const;
 
   private:
-    struct Record
-    {
-        Ppn ppn = 0;
-        std::uint32_t refs = 0;
-        std::uint8_t pop = 0;
-    };
-
-    FlatMap<Fingerprint, Record, FingerprintHash> byFp;
-    FlatMap<Ppn, Fingerprint> byPpn;
+    FlatMap<Fingerprint, Entry, FingerprintHash> byFp;
     DedupStats dstats;
 };
 

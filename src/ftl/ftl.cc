@@ -1,7 +1,7 @@
 #include "ftl/ftl.hh"
 
-#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -46,7 +46,12 @@ Ftl::attachDvp(DeadValuePool *p)
 void
 Ftl::attachDedup(FingerprintStore *s)
 {
+    zombie_assert(map.mappedCount() == 0,
+                  "attach the dedup store before the first write");
     store = s;
+    const std::uint64_t links = s ? cfg.logicalPages : 0;
+    ownerNext.assign(links, kInvalidLpn);
+    ownerPrev.assign(links, kInvalidLpn);
 }
 
 void
@@ -76,23 +81,17 @@ Ftl::invalidateLpn(Lpn lpn)
     const std::uint8_t old_pop = map.popularity(lpn);
 
     if (store) {
-        auto it = owners.find(old_ppn);
-        zombie_assert(it != owners.end(), "dedup owner list missing");
-        auto &list = it->second;
-        auto pos = std::find(list.begin(), list.end(), lpn);
-        zombie_assert(pos != list.end(), "LPN missing from owner list");
-        list.erase(pos);
-
+        unlinkOwner(lpn, old_ppn);
         const std::uint32_t remaining =
-            store->releaseReference(old_ppn);
-        if (remaining > 0) {
-            // Other LPNs still share the page; it stays live
-            // (section VII: many-to-one mapping delays garbage).
-            if (map.lpnOf(old_ppn) == lpn)
-                map.map(list.front(), old_ppn);
+            store->releaseReference(old_fp);
+        // The chain is empty exactly when lpn is still its head.
+        zombie_assert((remaining > 0) == (map.lpnOf(old_ppn) != lpn),
+                      "owner chain of ", old_ppn,
+                      " disagrees with refcount ", remaining);
+        // Other LPNs still share the page; it stays live (section
+        // VII: many-to-one mapping delays garbage).
+        if (remaining > 0)
             return;
-        }
-        owners.erase(it);
     }
 
     array.invalidatePage(old_ppn, old_pop);
@@ -116,11 +115,49 @@ void
 Ftl::mapNewContent(Lpn lpn, Ppn ppn, const Fingerprint &fp,
                    std::uint8_t pop)
 {
+    if (store) {
+        // The new owner heads the chain: map() below makes it the
+        // page's reverse entry.
+        const Lpn head = map.lpnOf(ppn);
+        ownerNext[lpn] = head;
+        ownerPrev[lpn] = kInvalidLpn;
+        if (head != kInvalidLpn)
+            ownerPrev[head] = lpn;
+    }
     map.map(lpn, ppn);
     map.setFingerprint(lpn, fp);
     map.setPopularity(lpn, pop);
+}
+
+void
+Ftl::mapFreshPage(Lpn lpn, Ppn ppn, const Fingerprint &fp,
+                  std::uint8_t pop)
+{
+    zombie_assert(map.lpnOf(ppn) == kInvalidLpn, "fresh PPN ", ppn,
+                  " already owned by LPN ", map.lpnOf(ppn));
+    mapNewContent(lpn, ppn, fp, pop);
     if (store)
-        owners[ppn].push_back(lpn);
+        store->registerPage(fp, ppn);
+}
+
+void
+Ftl::unlinkOwner(Lpn lpn, Ppn ppn)
+{
+    const Lpn prev = ownerPrev[lpn];
+    const Lpn next = ownerNext[lpn];
+    if (prev == kInvalidLpn) {
+        zombie_assert(map.lpnOf(ppn) == lpn, "LPN ", lpn,
+                      " missing from the owner chain of ", ppn);
+        // The next owner (if any) becomes the head.
+        if (next != kInvalidLpn)
+            map.map(next, ppn);
+    } else {
+        zombie_assert(ownerNext[prev] == lpn, "LPN ", lpn,
+                      " missing from the owner chain of ", ppn);
+        ownerNext[prev] = next;
+    }
+    if (next != kInvalidLpn)
+        ownerPrev[next] = prev;
 }
 
 HostOpResult
@@ -145,7 +182,7 @@ Ftl::write(Lpn lpn, const Fingerprint &fp, FlashStepBuffer &steps)
             if (was_mapped && map.ppnOf(lpn) == live_ppn) {
                 // Same content, same page: nothing changes.
                 const std::uint8_t pop = store->addReference(fp);
-                store->releaseReference(live_ppn); // undo ref bump
+                store->releaseReference(fp); // undo ref bump
                 map.setPopularity(lpn, pop);
             } else {
                 if (was_mapped)
@@ -170,9 +207,7 @@ Ftl::write(Lpn lpn, const Fingerprint &fp, FlashStepBuffer &steps)
         const DvpLookupResult hit = pool->lookupForWrite(fp, lpn);
         if (hit.hit) {
             array.revivePage(hit.ppn);
-            mapNewContent(lpn, hit.ppn, fp, hit.popularity);
-            if (store)
-                store->registerPage(fp, hit.ppn);
+            mapFreshPage(lpn, hit.ppn, fp, hit.popularity);
             result.shortCircuit = true;
             result.dvpRevival = true;
             ++fstats.dvpRevivals;
@@ -198,9 +233,7 @@ Ftl::write(Lpn lpn, const Fingerprint &fp, FlashStepBuffer &steps)
     }
     const Ppn ppn = blockMgr.allocatePage(plane, stream);
     ++fstats.programs;
-    mapNewContent(lpn, ppn, fp, 1);
-    if (store)
-        store->registerPage(fp, ppn);
+    mapFreshPage(lpn, ppn, fp, 1);
     steps.userSteps.push_back(FlashStep{FlashOp::Program, ppn});
     return result;
 }
@@ -396,22 +429,18 @@ Ftl::relocatePage(std::uint64_t plane, Ppn src, FlashStepBuffer &steps)
     steps.gcSteps.push_back(FlashStep{FlashOp::Program, dst});
     ++fstats.gcRelocations;
 
-    if (store) {
-        auto it = owners.find(src);
-        zombie_assert(it != owners.end(),
-                      "relocating page without owners");
-        std::vector<Lpn> list = std::move(it->second);
-        owners.erase(it);
-        store->relocate(src, dst);
-        for (const Lpn l : list)
-            map.map(l, dst);
-        owners[dst] = std::move(list);
-    } else {
-        const Lpn owner = map.lpnOf(src);
-        zombie_assert(owner != kInvalidLpn,
-                      "valid page without reverse mapping");
-        map.map(owner, dst);
-    }
+    const Lpn head = map.lpnOf(src);
+    zombie_assert(head != kInvalidLpn,
+                  "valid page without reverse mapping");
+    zombie_assert(map.lpnOf(dst) == kInvalidLpn, "relocation target ",
+                  dst, " already owned by LPN ", map.lpnOf(dst));
+    if (store)
+        store->relocate(map.fingerprintOf(head), dst);
+    // The chain moves as it is; mapping the head last keeps it the
+    // reverse entry.
+    for (Lpn l = nextOwner(head); l != kInvalidLpn; l = nextOwner(l))
+        map.map(l, dst);
+    map.map(head, dst);
     // The source copy is dead; popularity 0 keeps GC scoring neutral
     // about relocation-created garbage.
     array.invalidatePage(src, 0);
@@ -462,14 +491,10 @@ Ftl::advanceGc(std::uint64_t plane, std::uint32_t budget,
 std::vector<Lpn>
 Ftl::ownersOf(Ppn ppn) const
 {
-    if (store) {
-        auto it = owners.find(ppn);
-        return it == owners.end() ? std::vector<Lpn>{} : it->second;
-    }
-    const Lpn owner = map.lpnOf(ppn);
-    if (owner == kInvalidLpn)
-        return {};
-    return {owner};
+    std::vector<Lpn> out;
+    for (Lpn l = map.lpnOf(ppn); l != kInvalidLpn; l = nextOwner(l))
+        out.push_back(l);
+    return out;
 }
 
 void
@@ -482,19 +507,63 @@ Ftl::checkConsistency() const
         const Ppn ppn = map.ppnOf(lpn);
         zombie_assert(array.state(ppn) == PageState::Valid,
                       "LPN ", lpn, " maps to non-valid PPN ", ppn);
-        if (store) {
-            auto it = owners.find(ppn);
-            zombie_assert(it != owners.end(), "shared page ", ppn,
-                          " lost its owner list");
-            zombie_assert(std::find(it->second.begin(),
-                                    it->second.end(),
-                                    lpn) != it->second.end(),
-                          "LPN ", lpn, " missing from owners of ", ppn);
-        } else {
+        if (!store)
             zombie_assert(map.lpnOf(ppn) == lpn,
                           "reverse map mismatch for LPN ", lpn);
-        }
     }
+    if (store)
+        checkOwnerChains();
+}
+
+void
+Ftl::checkOwnerChains() const
+{
+    // Walk every owner chain from its head, the reverse entry of a
+    // live page. Each member must map to the chain's page and carry
+    // its content; the chain's length is the content's refcount.
+    // Members summing to the mapped count, with no LPN on two
+    // chains, means every mapped LPN was visited exactly once.
+    const std::uint64_t mapped = map.mappedCount();
+    const std::uint64_t pages = array.geometry().totalPages();
+    std::uint64_t members = 0;
+    std::uint64_t chains = 0;
+    for (Ppn ppn = 0; ppn < pages; ++ppn) {
+        const Lpn head = map.lpnOf(ppn);
+        if (head == kInvalidLpn)
+            continue;
+        ++chains;
+        zombie_assert(ownerPrev[head] == kInvalidLpn, "head LPN ", head,
+                      " of the owner chain of ", ppn,
+                      " has a predecessor");
+        const Fingerprint &fp = map.fingerprintOf(head);
+        std::uint32_t length = 0;
+        for (Lpn l = head; l != kInvalidLpn; l = ownerNext[l]) {
+            zombie_assert(++members <= mapped, "owner chain of ", ppn,
+                          " does not end");
+            zombie_assert(map.ppnOf(l) == ppn, "LPN ", l,
+                          " on the owner chain of ", ppn,
+                          " maps to ", map.ppnOf(l));
+            zombie_assert(map.fingerprintOf(l) == fp, "LPN ", l,
+                          " on the owner chain of ", ppn,
+                          " holds other content");
+            const Lpn next = ownerNext[l];
+            zombie_assert(next == kInvalidLpn || ownerPrev[next] == l,
+                          "broken back link after LPN ", l);
+            ++length;
+        }
+        const FingerprintStore::Entry *entry = store->find(fp);
+        zombie_assert(entry, "content of live PPN ", ppn,
+                      " missing from the dedup store");
+        zombie_assert(entry->ppn == ppn, "dedup store places ",
+                      fp.hex(), " at ", entry->ppn, " not ", ppn);
+        zombie_assert(entry->refs == length, "PPN ", ppn, " has ",
+                      length, " owners but refcount ", entry->refs);
+    }
+    zombie_assert(members == mapped, "owner chains hold ", members,
+                  " LPNs but ", mapped, " are mapped");
+    zombie_assert(chains == store->size(), chains,
+                  " owner chains but ", store->size(),
+                  " live fingerprints");
 }
 
 } // namespace zombie

@@ -41,7 +41,6 @@
 #include "nand/flash_array.hh"
 #include "nand/timing.hh"
 #include "telemetry/stat_registry.hh"
-#include "util/flat_map.hh"
 
 namespace zombie
 {
@@ -181,7 +180,10 @@ class Ftl
     /** Attach the dead-value pool (not owned). May be nullptr. */
     void attachDvp(DeadValuePool *pool);
 
-    /** Attach the dedup store (not owned). May be nullptr. */
+    /**
+     * Attach the dedup store (not owned). May be nullptr. Attach
+     * before the first write: the owner chains start out empty.
+     */
     void attachDedup(FingerprintStore *store);
 
     /** Enable dynamic write allocation (see BlockManager). */
@@ -226,10 +228,17 @@ class Ftl
     DeadValuePool *dvp() { return pool; }
     FingerprintStore *dedup() { return store; }
 
-    /** Owner LPNs of a valid physical page (dedup-aware). */
+    /**
+     * Owner LPNs of a valid physical page (dedup-aware), newest
+     * owner first.
+     */
     std::vector<Lpn> ownersOf(Ppn ppn) const;
 
-    /** Invariant sweep used by tests: panics on inconsistency. */
+    /**
+     * Invariant sweep used by tests and the benchmark: panics on
+     * inconsistency. With dedup it also audits the owner chains
+     * against the mapping table and the store's refcounts.
+     */
     void checkConsistency() const;
 
     /**
@@ -253,6 +262,19 @@ class Ftl
     void invalidateLpn(Lpn lpn);
     void mapNewContent(Lpn lpn, Ppn ppn, const Fingerprint &fp,
                        std::uint8_t pop);
+    void mapFreshPage(Lpn lpn, Ppn ppn, const Fingerprint &fp,
+                      std::uint8_t pop);
+    void unlinkOwner(Lpn lpn, Ppn ppn);
+
+    /** The owner after @p lpn on its page's chain (kInvalidLpn at
+     *  the tail, and always without dedup: one owner per page). */
+    Lpn
+    nextOwner(Lpn lpn) const
+    {
+        return store ? ownerNext[lpn] : kInvalidLpn;
+    }
+
+    void checkOwnerChains() const;
     void advanceGcAll(FlashStepBuffer &steps);
 
     /**
@@ -274,8 +296,15 @@ class Ftl
     DeadValuePool *pool = nullptr;
     FingerprintStore *store = nullptr;
 
-    /** Owner lists for shared (deduplicated) physical pages. */
-    FlatMap<Ppn, std::vector<Lpn>> owners;
+    /**
+     * Owner chains of shared (deduplicated) pages: a doubly linked
+     * list per live page threaded through two per-LPN arrays, so
+     * linking and unlinking an owner are O(1) and allocate nothing.
+     * A chain's head is its page's reverse-map entry
+     * (MappingTable::lpnOf). Allocated only when a store is attached.
+     */
+    std::vector<Lpn> ownerNext;
+    std::vector<Lpn> ownerPrev;
 
     /** One incremental GC job per plane. */
     std::vector<GcJob> gcJobs;

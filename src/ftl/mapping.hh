@@ -8,9 +8,9 @@
  * pool") and — simulation bookkeeping standing in for the page's
  * content — the fingerprint currently stored at the LPN, which the
  * controller needs when the page dies (its hash is inserted into the
- * dead-value pool). A one-owner reverse map supports GC relocation in
- * the non-deduplicated FTL; the dedup engine keeps its own owner
- * lists for shared pages.
+ * dead-value pool). A one-owner reverse map supports GC relocation;
+ * with dedup, a shared page's reverse entry heads the FTL's owner
+ * chain for that page.
  */
 
 #ifndef ZOMBIE_FTL_MAPPING_HH

@@ -1,10 +1,39 @@
 #include "hash/fingerprint.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/random.hh"
 
 namespace zombie
 {
+
+namespace
+{
+
+/** Marks a non-hex byte in kNibble; any valid nibble is below 16. */
+constexpr std::uint8_t kBadNibble = 0xff;
+
+/** Nibble value of every byte, kBadNibble for non-hex bytes. */
+constexpr std::array<std::uint8_t, 256> kNibble = [] {
+    std::array<std::uint8_t, 256> table{};
+    table.fill(kBadNibble);
+    for (std::uint8_t i = 0; i < 10; ++i)
+        table['0' + i] = i;
+    for (std::uint8_t i = 0; i < 6; ++i) {
+        table['a' + i] = static_cast<std::uint8_t>(10 + i);
+        table['A' + i] = static_cast<std::uint8_t>(10 + i);
+    }
+    return table;
+}();
+
+std::uint8_t
+nibble(char c)
+{
+    return kNibble[static_cast<unsigned char>(c)];
+}
+
+} // namespace
 
 std::string
 Fingerprint::hex() const
@@ -19,24 +48,34 @@ Fingerprint::hex() const
     return out;
 }
 
+bool
+Fingerprint::parseHex(std::string_view hex, Fingerprint &out)
+{
+    if (hex.size() != 32)
+        return false;
+    // OR every nibble together: a bad byte sets the high bits, so
+    // one test after the loop validates the whole string.
+    std::uint8_t seen = 0;
+    for (std::size_t i = 0; i < 16; ++i) {
+        const std::uint8_t hi = nibble(hex[2 * i]);
+        const std::uint8_t lo = nibble(hex[2 * i + 1]);
+        seen |= hi | lo;
+        out.bytes[i] = static_cast<std::uint8_t>((hi << 4) | lo);
+    }
+    return seen < 16;
+}
+
 Fingerprint
 Fingerprint::fromHex(std::string_view hex)
 {
     if (hex.size() != 32)
         zombie_fatal("fingerprint hex must be 32 chars, got ", hex.size());
-    auto nibble = [&](char c) -> std::uint8_t {
-        if (c >= '0' && c <= '9')
-            return static_cast<std::uint8_t>(c - '0');
-        if (c >= 'a' && c <= 'f')
-            return static_cast<std::uint8_t>(c - 'a' + 10);
-        if (c >= 'A' && c <= 'F')
-            return static_cast<std::uint8_t>(c - 'A' + 10);
-        zombie_fatal("bad hex character '", c, "' in fingerprint");
-    };
     Fingerprint fp;
-    for (std::size_t i = 0; i < 16; ++i) {
-        fp.bytes[i] = static_cast<std::uint8_t>(
-            (nibble(hex[2 * i]) << 4) | nibble(hex[2 * i + 1]));
+    if (!parseHex(hex, fp)) {
+        const char bad = *std::find_if(hex.begin(), hex.end(), [](char c) {
+            return nibble(c) == kBadNibble;
+        });
+        zombie_fatal("bad hex character '", bad, "' in fingerprint");
     }
     return fp;
 }

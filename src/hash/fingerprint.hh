@@ -52,6 +52,13 @@ struct Fingerprint
     static Fingerprint fromHex(std::string_view hex);
 
     /**
+     * Validate and decode 32 hex characters (either case) in one
+     * pass. @return false, leaving @p out unspecified, when @p hex
+     * has another length or a non-hex character.
+     */
+    static bool parseHex(std::string_view hex, Fingerprint &out);
+
+    /**
      * Deterministically expand a synthetic value id into a fingerprint.
      * The trace generator names content by dense ids; this mixes them
      * through SplitMix64 twice so fingerprints are uniformly spread,

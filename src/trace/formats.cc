@@ -55,14 +55,6 @@ splitFields(std::string_view line, char sep, std::string_view *out,
     return n;
 }
 
-bool
-allHexDigits(std::string_view s)
-{
-    return std::all_of(s.begin(), s.end(), [](char c) {
-        return std::isxdigit(static_cast<unsigned char>(c)) != 0;
-    });
-}
-
 } // namespace
 
 ExternalFormat
@@ -196,10 +188,9 @@ FiuBlkioSource::parseLine(std::string_view line, RawIoRecord &out)
     out.offset = lba * 512;
     out.length = sectors * 512;
     if (n == 9) {
-        if (f[8].size() != 32 || !allHexDigits(f[8]))
+        if (!Fingerprint::parseHex(f[8], out.fp))
             fail("md5 column is not 32 hex digits", line);
         out.hasFingerprint = true;
-        out.fp = Fingerprint::fromHex(f[8]);
     }
 }
 

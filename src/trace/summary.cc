@@ -12,16 +12,16 @@ TraceSummarizer::observe(const TraceRecord &rec)
     }
     summary.lastArrival = rec.arrival;
 
-    if (lpns.insert(rec.lpn).second)
+    if (lpns.insert(rec.lpn))
         ++summary.distinctLpns;
 
     if (rec.isWrite()) {
         ++summary.writes;
-        if (writeValues.insert(rec.fp).second)
+        if (writeValues.insert(rec.fp))
             ++summary.distinctWriteValues;
     } else {
         ++summary.reads;
-        if (readValues.insert(rec.fp).second)
+        if (readValues.insert(rec.fp))
             ++summary.distinctReadValues;
     }
 }
@@ -30,7 +30,6 @@ TraceSummary
 summarizeTrace(const std::vector<TraceRecord> &records)
 {
     TraceSummarizer s;
-    s.reserve(records.size());
     for (const auto &rec : records)
         s.observe(rec);
     return s.finish();

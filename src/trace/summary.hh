@@ -9,11 +9,11 @@
 #define ZOMBIE_TRACE_SUMMARY_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "hash/fingerprint.hh"
 #include "trace/record.hh"
+#include "util/flat_map.hh"
 
 namespace zombie
 {
@@ -56,29 +56,23 @@ struct TraceSummary
     }
 };
 
-/** Streaming summarizer (fingerprint-keyed, so it works on any trace). */
+/**
+ * Streaming summarizer (fingerprint-keyed, so it works on any trace).
+ * The distinct-value sets are open-addressing and grow on demand:
+ * sizing them to the record count would allocate far beyond the
+ * distinct counts of a redundant trace.
+ */
 class TraceSummarizer
 {
   public:
     void observe(const TraceRecord &rec);
     TraceSummary finish() const { return summary; }
 
-    /** Size the distinct-value sets for @p records records up front
-     *  (summarizing a day-long trace rehashes megabytes otherwise). */
-    void
-    reserve(std::uint64_t records)
-    {
-        const auto n = static_cast<std::size_t>(records);
-        writeValues.reserve(n);
-        readValues.reserve(n);
-        lpns.reserve(n);
-    }
-
   private:
     TraceSummary summary;
-    std::unordered_set<Fingerprint, FingerprintHash> writeValues;
-    std::unordered_set<Fingerprint, FingerprintHash> readValues;
-    std::unordered_set<Lpn> lpns;
+    FlatSet<Fingerprint, FingerprintHash> writeValues;
+    FlatSet<Fingerprint, FingerprintHash> readValues;
+    FlatSet<Lpn> lpns;
     bool first = true;
 };
 

@@ -3,7 +3,7 @@
  * Open-addressing hash containers for the metadata hot path.
  *
  * Every simulated write performs several fingerprint/PPN lookups (DVP
- * index, dedup store, FTL owner lists). Node-based std::unordered_map
+ * index, dedup store). Node-based std::unordered_map
  * pays one cache miss per bucket pointer and one per node; FlatMap
  * keeps the payload in one contiguous slot array probed linearly, with
  * robin-hood displacement bounding probe lengths and backward-shift

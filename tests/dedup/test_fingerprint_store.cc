@@ -34,7 +34,20 @@ TEST(FingerprintStore, RegisterThenLookup)
     EXPECT_EQ(*hit, 100u);
     EXPECT_TRUE(store.contains(fp(1)));
     EXPECT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.refCount(100), 1u);
+    EXPECT_EQ(store.refCount(fp(1)), 1u);
+}
+
+TEST(FingerprintStore, FindReadsEntryWithoutCountingLookups)
+{
+    FingerprintStore store;
+    store.registerPage(fp(1), 100);
+    store.addReference(fp(1));
+    const FingerprintStore::Entry *entry = store.find(fp(1));
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->ppn, 100u);
+    EXPECT_EQ(entry->refs, 2u);
+    EXPECT_EQ(entry->pop, 2);
+    EXPECT_EQ(store.stats().lookups, 0u);
 }
 
 TEST(FingerprintStore, AddReferenceBumpsRefAndPopularity)
@@ -43,7 +56,7 @@ TEST(FingerprintStore, AddReferenceBumpsRefAndPopularity)
     store.registerPage(fp(1), 100);
     EXPECT_EQ(store.addReference(fp(1)), 2);
     EXPECT_EQ(store.addReference(fp(1)), 3);
-    EXPECT_EQ(store.refCount(100), 3u);
+    EXPECT_EQ(store.refCount(fp(1)), 3u);
     EXPECT_EQ(store.popularity(fp(1)), 3);
     EXPECT_EQ(store.stats().hits, 2u);
 }
@@ -53,11 +66,11 @@ TEST(FingerprintStore, ReleaseCountsDownToGarbage)
     FingerprintStore store;
     store.registerPage(fp(1), 100);
     store.addReference(fp(1));
-    EXPECT_EQ(store.releaseReference(100), 1u);
+    EXPECT_EQ(store.releaseReference(fp(1)), 1u);
     EXPECT_TRUE(store.contains(fp(1)));
-    EXPECT_EQ(store.releaseReference(100), 0u);
+    EXPECT_EQ(store.releaseReference(fp(1)), 0u);
     EXPECT_FALSE(store.contains(fp(1)));
-    EXPECT_EQ(store.refCount(100), 0u);
+    EXPECT_EQ(store.refCount(fp(1)), 0u);
     EXPECT_EQ(store.stats().lastRefDrops, 1u);
     EXPECT_EQ(store.size(), 0u);
 }
@@ -66,17 +79,16 @@ TEST(FingerprintStore, RelocateMovesIndex)
 {
     FingerprintStore store;
     store.registerPage(fp(1), 100);
-    store.relocate(100, 200);
+    store.relocate(fp(1), 200);
     EXPECT_EQ(*store.lookup(fp(1)), 200u);
-    EXPECT_EQ(store.refCount(200), 1u);
-    EXPECT_EQ(store.refCount(100), 0u);
+    EXPECT_EQ(store.refCount(fp(1)), 1u);
 }
 
 TEST(FingerprintStore, ReRegisterAfterDropIsAllowed)
 {
     FingerprintStore store;
     store.registerPage(fp(1), 100);
-    store.releaseReference(100);
+    store.releaseReference(fp(1));
     store.registerPage(fp(1), 300); // content written again
     EXPECT_EQ(*store.lookup(fp(1)), 300u);
 }
@@ -93,8 +105,9 @@ TEST(FingerprintStore, PopularitySaturates)
 TEST(FingerprintStore, UntrackedQueriesReturnZero)
 {
     FingerprintStore store;
-    EXPECT_EQ(store.refCount(1), 0u);
+    EXPECT_EQ(store.refCount(fp(9)), 0u);
     EXPECT_EQ(store.popularity(fp(9)), 0);
+    EXPECT_EQ(store.find(fp(9)), nullptr);
 }
 
 TEST(FingerprintStoreDeath, DoubleRegisterPanics)
@@ -104,17 +117,10 @@ TEST(FingerprintStoreDeath, DoubleRegisterPanics)
     EXPECT_DEATH(store.registerPage(fp(1), 200), "already live");
 }
 
-TEST(FingerprintStoreDeath, RegisterSamePpnTwicePanics)
-{
-    FingerprintStore store;
-    store.registerPage(fp(1), 100);
-    EXPECT_DEATH(store.registerPage(fp(2), 100), "already indexed");
-}
-
 TEST(FingerprintStoreDeath, ReleaseUntrackedPanics)
 {
     FingerprintStore store;
-    EXPECT_DEATH((void)store.releaseReference(5), "untracked");
+    EXPECT_DEATH((void)store.releaseReference(fp(5)), "untracked");
 }
 
 TEST(FingerprintStoreDeath, AddReferenceUnknownPanics)
@@ -126,7 +132,7 @@ TEST(FingerprintStoreDeath, AddReferenceUnknownPanics)
 TEST(FingerprintStoreDeath, RelocateUntrackedPanics)
 {
     FingerprintStore store;
-    EXPECT_DEATH(store.relocate(1, 2), "relocate");
+    EXPECT_DEATH(store.relocate(fp(1), 2), "relocate");
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "dvp/mq_dvp.hh"
 #include "ftl/ftl.hh"
@@ -58,6 +60,12 @@ struct DedupRig
         return ftl.read(lpn, steps);
     }
 
+    HostOpResult
+    trim(Lpn lpn)
+    {
+        return ftl.trim(lpn, steps);
+    }
+
     FlashArray flash;
     FingerprintStore store;
     Ftl ftl;
@@ -75,7 +83,7 @@ TEST(FtlDedup, DuplicateContentSharesOnePhysicalPage)
     EXPECT_TRUE(rig.steps.userSteps.empty());
     EXPECT_EQ(rig.ftl.mapping().ppnOf(0), rig.ftl.mapping().ppnOf(1));
     EXPECT_EQ(rig.flash.counters().programs, 1u);
-    EXPECT_EQ(rig.store.refCount(rig.ftl.mapping().ppnOf(0)), 2u);
+    EXPECT_EQ(rig.store.refCount(fp(7)), 2u);
 }
 
 TEST(FtlDedup, OwnersListTracksAllSharers)
@@ -96,7 +104,7 @@ TEST(FtlDedup, SameContentSameLpnIsPureNoOp)
     const HostOpResult r = rig.write(0, fp(7));
     EXPECT_TRUE(r.dedupHit);
     EXPECT_EQ(rig.ftl.mapping().ppnOf(0), ppn);
-    EXPECT_EQ(rig.store.refCount(ppn), 1u);
+    EXPECT_EQ(rig.store.refCount(fp(7)), 1u);
     EXPECT_EQ(rig.flash.counters().invalidations, 0u);
 }
 
@@ -109,11 +117,11 @@ TEST(FtlDedup, PageBecomesGarbageOnlyAtLastReference)
 
     rig.write(0, fp(8)); // drop one reference
     EXPECT_EQ(rig.flash.state(shared), PageState::Valid);
-    EXPECT_EQ(rig.store.refCount(shared), 1u);
+    EXPECT_EQ(rig.store.refCount(fp(7)), 1u);
 
     rig.write(1, fp(9)); // drop the last reference
     EXPECT_EQ(rig.flash.state(shared), PageState::Invalid);
-    EXPECT_EQ(rig.store.refCount(shared), 0u);
+    EXPECT_EQ(rig.store.refCount(fp(7)), 0u);
 }
 
 TEST(FtlDedup, ReverseMapSurvivesPrimaryOwnerDeath)
@@ -176,7 +184,8 @@ TEST(FtlDedup, GcRelocatesSharedPagesUpdatingAllOwners)
     const Ppn shared = rig.ftl.mapping().ppnOf(0);
     EXPECT_EQ(rig.ftl.mapping().ppnOf(1), shared);
     EXPECT_EQ(rig.ftl.mapping().ppnOf(2), shared);
-    EXPECT_EQ(rig.store.refCount(shared), 3u);
+    EXPECT_EQ(rig.store.refCount(fp(100)), 3u);
+    EXPECT_EQ(*rig.store.lookup(fp(100)), shared);
     EXPECT_EQ(rig.flash.state(shared), PageState::Valid);
     rig.ftl.checkConsistency();
 }
@@ -229,6 +238,80 @@ TEST(FtlDedup, MixedReadsAndWritesStayConsistent)
             rig.ftl.checkConsistency();
     }
     rig.ftl.checkConsistency();
+}
+
+/**
+ * Seeded random writes from a 16-value content alphabet, plus trims
+ * and reads, on a drive small enough that GC keeps relocating shared
+ * pages. At every checkpoint the FTL's audit must pass and each
+ * page's owner chain must equal, as a set, a brute-force scan of the
+ * mapping table. The pool revives every dead alphabet value, so the
+ * DVP variant mixes in fresh content to keep programs, and hence GC,
+ * going.
+ */
+TEST(FtlDedup, RandomOwnerChainsMatchMappingScan)
+{
+    for (const bool with_dvp : {false, true}) {
+        SCOPED_TRACE(with_dvp ? "dvp+dedup" : "dedup");
+        DedupRig rig(with_dvp);
+        const MappingTable &map = rig.ftl.mapping();
+        const Lpn lpns = map.logicalPages();
+        const Ppn pages = rig.flash.geometry().totalPages();
+        Xoshiro256 rng(with_dvp ? 31 : 30);
+        const double fresh = with_dvp ? 0.25 : 0.0;
+
+        std::vector<Ppn> before(lpns);
+        std::uint64_t shared_moves = 0;
+        for (int i = 0; i < 20000; ++i) {
+            for (Lpn l = 0; l < lpns; ++l)
+                before[l] = map.ppnOf(l);
+            const Lpn lpn = rng.nextBounded(lpns);
+            const double op = rng.nextDouble();
+            if (op < 0.6)
+                rig.write(lpn, rng.nextBool(fresh)
+                                   ? fp(1000 + i)
+                                   : fp(rng.nextBounded(16)));
+            else if (op < 0.75)
+                rig.trim(lpn);
+            else
+                rig.read(lpn);
+
+            // Only relocation moves an LPN the op did not name.
+            for (Lpn l = 0; l < lpns; ++l) {
+                if (l == lpn || before[l] == map.ppnOf(l))
+                    continue;
+                for (Lpn o = 0; o < lpns; ++o) {
+                    if (o != l && before[o] == before[l]) {
+                        ++shared_moves;
+                        break;
+                    }
+                }
+            }
+
+            if (i % 97 != 0)
+                continue;
+            rig.ftl.checkConsistency();
+            for (Ppn ppn = 0; ppn < pages; ++ppn) {
+                std::set<Lpn> scanned;
+                for (Lpn l = 0; l < lpns; ++l) {
+                    if (map.isMapped(l) && map.ppnOf(l) == ppn)
+                        scanned.insert(l);
+                }
+                const std::vector<Lpn> chain = rig.ftl.ownersOf(ppn);
+                ASSERT_EQ(chain.size(), scanned.size())
+                    << "PPN " << ppn << " at op " << i;
+                EXPECT_EQ(std::set<Lpn>(chain.begin(), chain.end()),
+                          scanned)
+                    << "PPN " << ppn << " at op " << i;
+            }
+        }
+        rig.ftl.checkConsistency();
+        EXPECT_GT(rig.ftl.stats().trims, 0u);
+        EXPECT_GT(rig.ftl.stats().dedupHits, 0u);
+        EXPECT_GT(shared_moves, 0u);
+        if (with_dvp)
+            EXPECT_GT(rig.ftl.stats().dvpRevivals, 0u);
+    }
 }
 
 } // namespace

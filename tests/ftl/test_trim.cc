@@ -122,7 +122,7 @@ TEST(Trim, SharedDedupPageSurvivesSingleTrim)
     const Ppn shared = rig.ftl.mapping().ppnOf(0);
     rig.trim(0);
     EXPECT_EQ(rig.flash.state(shared), PageState::Valid);
-    EXPECT_EQ(rig.store.refCount(shared), 1u);
+    EXPECT_EQ(rig.store.refCount(fp(7)), 1u);
     EXPECT_TRUE(rig.ftl.mapping().isMapped(1));
     rig.trim(1);
     EXPECT_EQ(rig.flash.state(shared), PageState::Invalid);

@@ -36,6 +36,31 @@ TEST(Fingerprint, FromHexAcceptsUpperCase)
     EXPECT_EQ(Fingerprint::fromHex(lower), Fingerprint::fromHex(upper));
 }
 
+TEST(Fingerprint, ParseHexAcceptsExactlyTheHexDigits)
+{
+    const std::string valid = "0123456789abcdef0123456789ABCDEF";
+    Fingerprint out;
+    ASSERT_TRUE(Fingerprint::parseHex(valid, out));
+    EXPECT_EQ(out, Fingerprint::fromHex(valid));
+    EXPECT_FALSE(Fingerprint::parseHex(valid.substr(1), out));
+    EXPECT_FALSE(Fingerprint::parseHex(valid + "0", out));
+
+    // Every byte value, at the first and the last position.
+    for (int b = 0; b < 256; ++b) {
+        const char c = static_cast<char>(b);
+        const bool hex = (c >= '0' && c <= '9') ||
+                         (c >= 'a' && c <= 'f') ||
+                         (c >= 'A' && c <= 'F');
+        for (const std::size_t pos : {std::size_t{0}, std::size_t{31}}) {
+            std::string s = valid;
+            s[pos] = c;
+            EXPECT_EQ(Fingerprint::parseHex(s, out), hex) << b;
+            if (hex)
+                EXPECT_EQ(out, Fingerprint::fromHex(s)) << b;
+        }
+    }
+}
+
 TEST(Fingerprint, OrderingAndEquality)
 {
     const Fingerprint a = Fingerprint::fromValueId(1);

@@ -7,9 +7,10 @@
  * buffer grows to a high-water mark during warm-up and is then only
  * reused. Two full replays of a trace warm every structure; a third,
  * identical replay must leave the process-wide operator-new counter
- * untouched. Runs the Baseline system so the measurement covers the
- * controller, FTL, GC, block manager and resource model rather than
- * pool-internal bookkeeping.
+ * untouched. The depth cells run the Baseline system so the
+ * measurement covers the controller, FTL, GC, block manager and
+ * resource model rather than pool-internal bookkeeping; the later
+ * cells add the dead-value pool and the dedup store.
  */
 
 #include <gtest/gtest.h>
@@ -26,11 +27,12 @@ namespace
 
 /** operator-new calls during a third (steady-state) trace replay. */
 std::uint64_t
-steadyStateAllocs(std::uint32_t queue_depth)
+steadyStateAllocs(std::uint32_t queue_depth,
+                  SystemKind system = SystemKind::Baseline)
 {
     const WorkloadProfile profile =
         WorkloadProfile::preset(Workload::Mail, 1, 12'000, 17);
-    SsdConfig cfg = SsdConfig::forProfile(profile, SystemKind::Baseline);
+    SsdConfig cfg = SsdConfig::forProfile(profile, system);
     cfg.queueDepth = queue_depth;
 
     Ssd ssd(cfg);
@@ -66,6 +68,16 @@ TEST(AllocRegression, SteadyStateIsAllocationFreeAtDepthOne)
 TEST(AllocRegression, SteadyStateIsAllocationFreeAtDepthThirtyTwo)
 {
     EXPECT_EQ(steadyStateAllocs(32), 0u);
+}
+
+/**
+ * DVP+Dedup cell: shared pages gain and lose owners, die, revive and
+ * move under GC, so the FTL's owner chains and the fingerprint store
+ * must follow the same warm-up-then-reuse discipline.
+ */
+TEST(AllocRegression, SteadyStateIsAllocationFreeWithDedup)
+{
+    EXPECT_EQ(steadyStateAllocs(8, SystemKind::DvpDedup), 0u);
 }
 
 /**

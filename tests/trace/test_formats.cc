@@ -94,6 +94,8 @@ TEST_F(TraceFormatsTest, FiuBlkioRejectsMalformedLines)
         {"xyz 42 maild 16 8 W 8 0\n", "expected unsigned integer"},
         {"1000 42 maild 16 8 W 8 0 deadbeef\n",
          "md5 column is not 32 hex digits"},
+        {"1000 42 maild 16 8 W 8 0 0123456789abcdef0123456789abcdeg\n",
+         "md5 column is not 32 hex digits"},
     };
     for (const Case &c : cases) {
         writeFile(c.line);
