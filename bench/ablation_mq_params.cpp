@@ -18,28 +18,25 @@
 using namespace zombie;
 using namespace zombie::bench;
 
+/** The fraction standing in for the paper's 200K-entry default. */
+constexpr double kDefaultPoolFrac = 0.02;
+
 int
 main(int argc, char **argv)
 {
-    ArgParser args = standardArgs(
+    ArgParser args = simBenchArgs(
         "Ablation: MQ queue count, GC policy, promotion rule",
-        "250000");
-    args.addOption("workload", "mail", "workload to ablate on");
+        "250000", {{"workload"}});
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
     const Workload w = workloadFromString(args.getString("workload"));
     const unsigned jobs = benchJobs(args);
-
-    ExperimentOptions base;
-    base.requests = requests;
-    base.seed = args.getUint("seed");
-    base.poolCapacity =
-        scaledPool(requests, args.getDouble("pool-frac"));
+    const ExperimentOptions base = experimentOptions(args);
 
     // The replacement policy only matters under capacity pressure;
     // run the queue-count sweep with a deliberately tight pool.
     ExperimentOptions tight = base;
-    tight.poolCapacity = scaledPool(requests, kDefaultPoolFrac / 16.0);
+    tight.poolCapacity =
+        scaledPool(base.requests, kDefaultPoolFrac / 16.0);
 
     banner("Ablation 1/5",
            "MQ queue count under a tight pool (1 = plain LRU queue)");
@@ -52,10 +49,12 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "  running baseline...\n");
                 return runSystem(w, SystemKind::Baseline, base);
             }
+            const std::uint32_t queues = queue_counts[i - 1];
             ExperimentOptions opts = tight;
-            opts.mqQueues = queue_counts[i - 1];
-            std::fprintf(stderr, "  running %u queues...\n",
-                         opts.mqQueues);
+            opts.tweak = [queues](SsdConfig &cfg) {
+                cfg.mq.numQueues = queues;
+            };
+            std::fprintf(stderr, "  running %u queues...\n", queues);
             return runSystem(w, SystemKind::MqDvp, opts);
         });
     const SimResult &baseline = sweep1.front();
@@ -138,7 +137,7 @@ main(int argc, char **argv)
         // Start with a deliberately undersized pool; the adaptive
         // variant may grow it when ghost-list regrets accumulate.
         const std::uint64_t small_pool =
-            scaledPool(requests, kDefaultPoolFrac / 8.0);
+            scaledPool(base.requests, kDefaultPoolFrac / 8.0);
         TextTable table({"pool", "final capacity", "write reduction",
                          "dvp hit rate"});
         const auto sweep = parallelMap(jobs, 2, [&](std::size_t i) {

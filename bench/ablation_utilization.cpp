@@ -17,13 +17,13 @@ using namespace zombie::bench;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = standardArgs(
-        "Ablation: DVP benefit vs drive utilization", "200000");
-    args.addOption("workload", "mail", "workload to sweep");
+    ArgParser args = simBenchArgs(
+        "Ablation: DVP benefit vs drive utilization", "200000",
+        {{"workload"}});
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
     const Workload w = workloadFromString(args.getString("workload"));
     const unsigned jobs = benchJobs(args);
+    const ExperimentOptions base_opts = experimentOptions(args);
 
     banner("Ablation", "drive utilization (preconditioning) sweep");
 
@@ -35,11 +35,7 @@ main(int argc, char **argv)
             const double prefill = prefills[i / 2];
             const SystemKind kind =
                 i % 2 == 0 ? SystemKind::Baseline : SystemKind::MqDvp;
-            ExperimentOptions opts;
-            opts.requests = requests;
-            opts.seed = args.getUint("seed");
-            opts.poolCapacity =
-                scaledPool(requests, args.getDouble("pool-frac"));
+            ExperimentOptions opts = base_opts;
             opts.tweak = [prefill](SsdConfig &cfg) {
                 cfg.prefillFraction = prefill;
             };

@@ -16,19 +16,18 @@ using namespace zombie;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = bench::standardArgs(
-        "Figure 1: garbage-page reuse probability (infinite buffer)",
-        "200000");
+    ArgParser args(
+        "Figure 1: garbage-page reuse probability (infinite buffer)");
+    addExperimentKeys(args, {{"requests", "200000"}, {"seed"}});
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
-    const std::uint64_t seed = args.getUint("seed");
+    const ExperimentOptions opts = experimentOptions(args);
 
     bench::banner("Figure 1",
                   "P(incoming write reusable from garbage pool)");
 
     TextTable table({"trace", "writes", "reusable", "P(reuse)",
                      "P(reuse) after dedup"});
-    for (const DayTrace &day : fiuDayTraces(requests, seed)) {
+    for (const DayTrace &day : fiuDayTraces(opts.requests, opts.seed)) {
         SyntheticTraceGenerator gen(day.profile);
         LifecycleTracker tracker;
         TraceRecord rec;

@@ -17,14 +17,15 @@ using namespace zombie;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = bench::standardArgs(
-        "Figure 2: CDF of invalidation counts (mail)", "300000");
-    args.addOption("workload", "mail", "workload to characterize");
+    ArgParser args("Figure 2: CDF of invalidation counts (mail)");
+    addExperimentKeys(args,
+                      {{"requests", "300000"}, {"seed"}, {"workload"}});
     args.parse(argc, argv);
 
+    const ExperimentOptions opts = experimentOptions(args);
     const Workload w = workloadFromString(args.getString("workload"));
-    const WorkloadProfile profile = WorkloadProfile::preset(
-        w, 1, args.getUint("requests"), args.getUint("seed"));
+    const WorkloadProfile profile =
+        WorkloadProfile::preset(w, 1, opts.requests, opts.seed);
 
     bench::banner("Figure 2", "CDF of invalidation counts (" +
                                   toString(w) + ")");

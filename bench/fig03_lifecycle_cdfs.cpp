@@ -17,15 +17,16 @@ using namespace zombie;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = bench::standardArgs(
-        "Figure 3: writes/invalidations/rebirths per unique value",
-        "300000");
-    args.addOption("workload", "mail", "workload to characterize");
+    ArgParser args(
+        "Figure 3: writes/invalidations/rebirths per unique value");
+    addExperimentKeys(args,
+                      {{"requests", "300000"}, {"seed"}, {"workload"}});
     args.parse(argc, argv);
 
+    const ExperimentOptions opts = experimentOptions(args);
     const Workload w = workloadFromString(args.getString("workload"));
-    const WorkloadProfile profile = WorkloadProfile::preset(
-        w, 1, args.getUint("requests"), args.getUint("seed"));
+    const WorkloadProfile profile =
+        WorkloadProfile::preset(w, 1, opts.requests, opts.seed);
 
     bench::banner("Figure 3", "value-popularity share curves (" +
                                   toString(w) + ")");

@@ -19,14 +19,15 @@ using namespace zombie;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = bench::standardArgs(
-        "Figure 4: life-cycle timing vs popularity degree", "300000");
-    args.addOption("workload", "mail", "workload to characterize");
+    ArgParser args("Figure 4: life-cycle timing vs popularity degree");
+    addExperimentKeys(args,
+                      {{"requests", "300000"}, {"seed"}, {"workload"}});
     args.parse(argc, argv);
 
+    const ExperimentOptions opts = experimentOptions(args);
     const Workload w = workloadFromString(args.getString("workload"));
-    const WorkloadProfile profile = WorkloadProfile::preset(
-        w, 1, args.getUint("requests"), args.getUint("seed"));
+    const WorkloadProfile profile =
+        WorkloadProfile::preset(w, 1, opts.requests, opts.seed);
 
     bench::banner("Figure 4",
                   "creation->death / death->rebirth vs popularity (" +

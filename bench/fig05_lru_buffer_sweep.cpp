@@ -21,14 +21,13 @@ using namespace zombie;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = bench::standardArgs(
-        "Figure 5: writes vs LRU dead-value buffer size", "200000");
+    ArgParser args("Figure 5: writes vs LRU dead-value buffer size");
+    addExperimentKeys(args, {{"requests", "200000"}, {"seed"}});
     args.addFlag("paper-sizes",
                  "use the paper's absolute buffer sizes (100K..1M) "
                  "instead of request-scaled ones");
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
-    const std::uint64_t seed = args.getUint("seed");
+    const ExperimentOptions opts = experimentOptions(args);
 
     bench::banner("Figure 5",
                   "writes remaining with LRU buffers vs infinite");
@@ -43,7 +42,7 @@ main(int argc, char **argv)
         const auto scale = [&](double f) {
             return std::max<std::uint64_t>(
                 64, static_cast<std::uint64_t>(
-                        f * static_cast<double>(requests)));
+                        f * static_cast<double>(opts.requests)));
         };
         sizes = {{"0.5%", scale(0.005)},
                  {"1%", scale(0.01)},
@@ -57,7 +56,7 @@ main(int argc, char **argv)
     header.push_back("infinite");
     TextTable table(std::move(header));
 
-    for (const DayTrace &day : fiuDayTraces(requests, seed)) {
+    for (const DayTrace &day : fiuDayTraces(opts.requests, opts.seed)) {
         const auto trace =
             SyntheticTraceGenerator(day.profile).generateAll();
 

@@ -33,24 +33,24 @@ replay(const std::vector<TraceRecord> &trace,
 int
 main(int argc, char **argv)
 {
-    ArgParser args = bench::standardArgs(
-        "Figure 6: LRU capacity misses per popularity degree (m2)",
-        "200000");
+    ArgParser args(
+        "Figure 6: LRU capacity misses per popularity degree (m2)");
+    addExperimentKeys(args, {{"requests", "200000"}, {"seed"}});
     args.addOption("buffer-frac", "0.01",
                    "buffer entries as a fraction of requests "
                    "(the paper's 100K entries vs day-long traces)");
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
+    const ExperimentOptions opts = experimentOptions(args);
     const auto capacity = std::max<std::uint64_t>(
         64, static_cast<std::uint64_t>(
-                args.getDouble("buffer-frac") *
-                static_cast<double>(requests)));
+                args.getDouble("buffer-frac", 0.0, 1.0) *
+                static_cast<double>(opts.requests)));
 
     bench::banner("Figure 6", "avg buffer misses vs popularity degree");
 
     // m2 = mail, day 2 (the trace the paper studies here).
     const WorkloadProfile profile = WorkloadProfile::preset(
-        Workload::Mail, 2, requests, args.getUint("seed"));
+        Workload::Mail, 2, opts.requests, opts.seed);
     const auto trace = SyntheticTraceGenerator(profile).generateAll();
 
     const auto lru_bins =

@@ -16,17 +16,13 @@ using namespace zombie::bench;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = standardArgs(
-        "Figure 9: write reduction vs dead-value pool size", "250000");
+    ArgParser args =
+        figureArgs("Figure 9: write reduction vs dead-value pool size");
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
 
     banner("Figure 9", "reduction in the number of writes");
 
-    ExperimentOptions base;
-    base.requests = requests;
-    base.seed = args.getUint("seed");
-
+    const ExperimentOptions base = experimentOptions(args);
     const double mid = args.getDouble("pool-frac");
     const std::vector<std::pair<std::string, double>> pools = {
         {"100K-eq", mid / 2.0},
@@ -46,7 +42,7 @@ main(int argc, char **argv)
                 return SystemKind::Ideal;
             for (const auto &[name, frac] : pools) {
                 if (name == label)
-                    opts.poolCapacity = scaledPool(requests, frac);
+                    opts.poolCapacity = scaledPool(opts.requests, frac);
             }
             return SystemKind::MqDvp;
         },

@@ -14,17 +14,12 @@ using namespace zombie::bench;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = standardArgs(
-        "Figure 10: reduction in erase counts", "250000");
+    ArgParser args = figureArgs("Figure 10: reduction in erase counts");
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
 
     banner("Figure 10", "reduction in erase counts");
 
-    ExperimentOptions base;
-    base.requests = requests;
-    base.seed = args.getUint("seed");
-    base.poolCapacity = scaledPool(requests, args.getDouble("pool-frac"));
+    const ExperimentOptions base = experimentOptions(args);
 
     const unsigned jobs = benchJobs(args);
     const auto rows = runAcrossWorkloadsParallel(

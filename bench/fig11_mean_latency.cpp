@@ -14,14 +14,13 @@ using namespace zombie::bench;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = standardArgs(
-        "Figure 11: mean latency improvement (incl. LX-SSD)",
-        "250000");
+    ArgParser args =
+        figureArgs("Figure 11: mean latency improvement (incl. LX-SSD)");
     args.parse(argc, argv);
 
     banner("Figure 11", "mean latency improvement");
 
-    ExperimentOptions base = standardOptions(args);
+    const ExperimentOptions base = experimentOptions(args);
 
     const unsigned jobs = benchJobs(args);
     const auto rows = runAcrossWorkloadsParallel(

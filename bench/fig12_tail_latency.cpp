@@ -15,13 +15,13 @@ using namespace zombie::bench;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = standardArgs(
-        "Figure 12: tail (p99) latency improvement", "250000");
+    ArgParser args =
+        figureArgs("Figure 12: tail (p99) latency improvement");
     args.parse(argc, argv);
 
     banner("Figure 12", "p99 latency improvement");
 
-    ExperimentOptions base = standardOptions(args);
+    const ExperimentOptions base = experimentOptions(args);
 
     const unsigned jobs = benchJobs(args);
     const auto rows = runAcrossWorkloadsParallel(

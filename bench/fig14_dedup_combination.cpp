@@ -14,17 +14,13 @@ using namespace zombie::bench;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = standardArgs(
-        "Figure 14: writes under Dedup / DVP / DVP+Dedup", "250000");
+    ArgParser args =
+        figureArgs("Figure 14: writes under Dedup / DVP / DVP+Dedup");
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
 
     banner("Figure 14", "normalized writes: dedup vs dvp vs combined");
 
-    ExperimentOptions base;
-    base.requests = requests;
-    base.seed = args.getUint("seed");
-    base.poolCapacity = scaledPool(requests, args.getDouble("pool-frac"));
+    const ExperimentOptions base = experimentOptions(args);
 
     const unsigned jobs = benchJobs(args);
     const auto rows = runAcrossWorkloadsParallel(

@@ -19,7 +19,7 @@
 #include <string>
 
 #include "bench_common.hh"
-#include "sim/ssd.hh"
+#include "sim/experiment.hh"
 #include "trace/adapters.hh"
 #include "trace/formats.hh"
 #include "trace/prefetch.hh"
@@ -315,17 +315,15 @@ reportReplayComparison()
     enum Mode { Prefetch, Streamed, kModes };
     Row rows[kModes];
     for (int mode = 0; mode < kModes; ++mode) {
-        SsdConfig ssd_cfg = SsdConfig::forFootprint(
-            scan.footprintPages, SystemKind::Baseline);
-        ssd_cfg.queueDepth = 8;
+        ExperimentOptions opts;
+        opts.queueDepth = 8;
+        opts.prefetchBatch =
+            mode == Prefetch ? PrefetchSource::kDefaultBatch : 0;
         const std::uint64_t allocs_before = heapAllocCount();
         const auto start = std::chrono::steady_clock::now();
-        Ssd ssd(ssd_cfg);
-        const auto src = maybePrefetch(
-            scan.factory(),
-            mode == Prefetch ? PrefetchSource::kDefaultBatch : 0);
-        ssd.run(*src);
-        const std::uint64_t requests = ssd.result().requests;
+        const std::uint64_t requests =
+            runSystemOnScannedTrace(scan, SystemKind::Baseline, opts)
+                .requests;
         const double wall_s =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)

@@ -70,15 +70,15 @@ main(int argc, char **argv)
     // 40K requests holds the drive near saturation without tipping
     // into open-loop collapse; past ~100K every cell's tail is the
     // same backlog storm and the arbiters become indistinguishable.
-    ArgParser args = standardArgs(
+    ArgParser args = simBenchArgs(
         "Noisy neighbor: writer vs readers across arbiters and DVP "
         "tenancy",
-        "40000");
+        "40000", {{"queue-depth"}});
     args.parse(argc, argv);
 
     banner("noisy neighbor", "multi-tenant QoS isolation");
 
-    ExperimentOptions base = standardOptions(args);
+    ExperimentOptions base = experimentOptions(args);
     // Deep queue: arbitration only matters while tags are contended.
     if (base.queueDepth < 8)
         base.queueDepth = 8;

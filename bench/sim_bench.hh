@@ -26,37 +26,34 @@
 namespace zombie::bench
 {
 
-/** Paper-equivalent pool size: fraction of the trace length. */
-inline std::uint64_t
-scaledPool(std::uint64_t requests, double frac)
+/**
+ * ArgParser with the keys every simulation bench reads — trace
+ * length, seed, pool fraction and --jobs — plus @p extra.
+ */
+inline ArgParser
+simBenchArgs(const std::string &description,
+             const char *default_requests,
+             std::initializer_list<KeyUse> extra = {})
 {
-    return std::max<std::uint64_t>(
-        256,
-        static_cast<std::uint64_t>(frac *
-                                   static_cast<double>(requests)));
+    ArgParser args(description);
+    addExperimentKeys(args, {{"requests", default_requests},
+                             {"seed"}, {"pool-frac", "0.02"}, {"jobs"}});
+    addExperimentKeys(args, extra);
+    return args;
 }
 
-/** The fraction standing in for the paper's 200K-entry default. */
-inline constexpr double kDefaultPoolFrac = 0.02;
-
-/** ExperimentOptions filled from the standardArgs() options. */
-inline ExperimentOptions
-standardOptions(const ArgParser &args)
+/**
+ * ArgParser for the Figure 9-15 benches: simBenchArgs plus queue
+ * depth, the CSV and wall-clock exports and per-cell telemetry.
+ */
+inline ArgParser
+figureArgs(const std::string &description)
 {
-    ExperimentOptions opts;
-    opts.requests = args.getUint("requests");
-    opts.seed = args.getUint("seed");
-    opts.poolCapacity =
-        scaledPool(opts.requests, args.getDouble("pool-frac"));
-    opts.queueDepth =
-        static_cast<std::uint32_t>(args.getUint("queue-depth"));
-    opts.statsInterval = ticksFromUs(args.getDouble("stats-interval"));
-    opts.traceLimit = args.getUint("span-limit");
-    opts.statsCsv = args.getString("stats-csv");
-    opts.statsJson = args.getString("stats-json");
-    opts.traceOut = args.getString("trace-out");
-    opts.statsDump = args.getString("dump-stats");
-    return opts;
+    return simBenchArgs(description, "250000",
+                        {{"queue-depth"}, {"csv"}, {"wall-json"},
+                         {"stats-interval"}, {"stats-csv"},
+                         {"stats-json"}, {"trace-out"},
+                         {"span-limit"}, {"dump-stats"}});
 }
 
 /**
@@ -192,17 +189,6 @@ runAcrossWorkloadsParallel(const std::vector<std::string> &labels,
                                        results[i].heapAllocs);
     }
     return rows;
-}
-
-/** Serial convenience wrapper (historical entry point). */
-template <typename ConfigureFn>
-std::vector<WorkloadRow>
-runAcrossWorkloads(const std::vector<std::string> &labels,
-                   ConfigureFn &&configure,
-                   const ExperimentOptions &base_opts)
-{
-    return runAcrossWorkloadsParallel(
-        labels, std::forward<ConfigureFn>(configure), base_opts, 1);
 }
 
 /**

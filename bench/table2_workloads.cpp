@@ -17,12 +17,12 @@ using namespace zombie;
 int
 main(int argc, char **argv)
 {
-    ArgParser args = bench::standardArgs(
-        "Table II: workload characteristics, paper vs measured",
-        "200000");
+    ArgParser args(
+        "Table II: workload characteristics, paper vs measured");
+    addExperimentKeys(args,
+                      {{"requests", "200000"}, {"seed"}, {"jobs"}});
     args.parse(argc, argv);
-    const std::uint64_t requests = args.getUint("requests");
-    const std::uint64_t seed = args.getUint("seed");
+    const ExperimentOptions opts = experimentOptions(args);
 
     bench::banner("Table II", "workload characteristics");
 
@@ -32,9 +32,9 @@ main(int argc, char **argv)
     const std::vector<Workload> workloads = allWorkloads();
     const auto summaries = parallelMap(
         bench::benchJobs(args), workloads.size(),
-        [&workloads, requests, seed](std::size_t i) {
+        [&workloads, &opts](std::size_t i) {
             const WorkloadProfile profile = WorkloadProfile::preset(
-                workloads[i], 1, requests, seed);
+                workloads[i], 1, opts.requests, opts.seed);
             SyntheticTraceGenerator gen(profile);
             TraceSummarizer summarizer;
             TraceRecord rec;

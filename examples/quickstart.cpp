@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "sim/experiment.hh"
-#include "util/args.hh"
 #include "util/table.hh"
 
 using namespace zombie;
@@ -19,18 +18,11 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("Quickstart: Baseline vs MQ dead-value pool");
-    args.addOption("workload", "mail",
-                   "web|home|mail|hadoop|trans|desktop");
-    args.addOption("requests", "200000", "trace length in requests");
-    args.addOption("pool", "200000", "dead-value pool entries");
-    args.addOption("seed", "42", "trace generator seed");
+    addExperimentKeys(args, {{"workload"}, {"requests", "200000"},
+                             {"pool", "200000"}, {"seed"}});
     args.parse(argc, argv);
 
-    ExperimentOptions opts;
-    opts.requests = args.getUint("requests");
-    opts.poolCapacity = args.getUint("pool");
-    opts.seed = args.getUint("seed");
-
+    const ExperimentOptions opts = experimentOptions(args);
     const Workload w = workloadFromString(args.getString("workload"));
 
     std::printf("%s", sectionBanner("zombie quickstart: " +

@@ -13,10 +13,10 @@
 #include <cstdio>
 
 #include "analysis/lifecycle.hh"
+#include "sim/experiment.hh"
 #include "trace/generator.hh"
 #include "trace/io.hh"
 #include "trace/summary.hh"
-#include "util/args.hh"
 #include "util/table.hh"
 
 using namespace zombie;
@@ -58,17 +58,17 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("Generate and characterize content traces");
-    args.addOption("workload", "mail",
-                   "workload preset for generation");
-    args.addOption("day", "1", "trace day (1..n)");
-    args.addOption("requests", "100000", "trace length");
-    args.addOption("seed", "42", "generator seed");
+    addExperimentKeys(args, {{"workload"}, {"day"},
+                             {"requests", "100000"}, {"seed"}});
     args.addOption("out", "", "write the generated trace here");
     args.addOption("format", "text", "trace file format: text|binary");
     args.addOption("in", "",
                    "characterize this trace file instead of "
                    "generating one");
     args.parse(argc, argv);
+    const ExperimentOptions opts = experimentOptions(args);
+    const std::string format =
+        args.getChoice("format", {"text", "binary"});
 
     if (const std::string in = args.getString("in"); !in.empty()) {
         TraceReader reader(in);
@@ -77,19 +77,18 @@ main(int argc, char **argv)
     }
 
     const WorkloadProfile profile = WorkloadProfile::preset(
-        workloadFromString(args.getString("workload")),
-        static_cast<int>(args.getInt("day")), args.getUint("requests"),
-        args.getUint("seed"));
+        workloadFromString(args.getString("workload")), opts.day,
+        opts.requests, opts.seed);
     const auto records = SyntheticTraceGenerator(profile).generateAll();
     characterize(records, profile.name);
 
     if (const std::string out = args.getString("out"); !out.empty()) {
-        const TraceFormat format = args.getString("format") == "binary"
-                                       ? TraceFormat::Binary
-                                       : TraceFormat::Text;
-        writeTraceFile(out, format, records);
+        writeTraceFile(out,
+                       format == "binary" ? TraceFormat::Binary
+                                          : TraceFormat::Text,
+                       records);
         std::printf("\nwrote %zu records to %s (%s)\n", records.size(),
-                    out.c_str(), args.getString("format").c_str());
+                    out.c_str(), format.c_str());
     }
     return 0;
 }

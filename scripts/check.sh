@@ -31,14 +31,41 @@ for preset in $presets; do
     echo "==> ctest [$preset]"
     ctest --preset "$preset" -j "$jobs"
 
-    # Smoke-run every bench at a tiny request count with the parallel
-    # harness engaged (--jobs 2), so harness regressions and data
-    # races surface here (especially under the tsan preset), and
-    # byte-diff stdout against the committed goldens: the simulated
-    # results are deterministic, so any drift — across presets,
-    # optimization levels or hot-path rewrites — is a bug. The
-    # micro_* benches take no arguments and are skipped.
+    # Flag inventory: every flag each bench and example lists in
+    # --help, with its default, diffed against a golden, so a change
+    # that adds, drops or re-defaults a flag shows up as a golden
+    # diff. The micro_* benches (google-benchmark flags) and the
+    # examples without an ArgParser take no options and are skipped.
     bindir="$(bindir_for "$preset")"
+    echo "==> flag inventory [$preset]"
+    for prog in "$bindir"/bench/* "$bindir"/examples/*; do
+        [ -f "$prog" ] && [ -x "$prog" ] || continue
+        name="$(basename "$prog")"
+        case "$name" in
+            micro_*) continue ;;
+        esac
+        case "$prog" in
+            */examples/*)
+                grep -q ArgParser "examples/$name.cpp" || continue ;;
+        esac
+        "$prog" --help | awk -v prog="$name" '
+            /^  --/ && $1 != "--help" {
+                if (match($0, /\(default: .*\)$/))
+                    print prog " " $1 "=" \
+                        substr($0, RSTART + 10, RLENGTH - 11)
+                else
+                    print prog " " $1
+            }'
+    done | LC_ALL=C sort > "$bindir/flags.txt"
+    diff -u tests/golden/flags.txt "$bindir/flags.txt"
+
+    # Smoke-run every bench at a tiny request count, with the parallel
+    # harness engaged (--jobs 2) wherever the bench takes --jobs, so
+    # harness regressions and data races surface here (especially
+    # under the tsan preset), and byte-diff stdout against the
+    # committed goldens: the simulated results are deterministic, so
+    # any drift — across presets, optimization levels or hot-path
+    # rewrites — is a bug. The micro_* benches are skipped.
     golden=tests/golden/smoke
     echo "==> smoke benches [$preset]"
     for bench in "$bindir"/bench/*; do
@@ -48,7 +75,11 @@ for preset in $presets; do
             micro_*) continue ;;
         esac
         echo "  -> $name"
-        "$bench" --requests 2000 --jobs 2 > "$bindir/$name.smoke.txt"
+        jobs_flag=""
+        if "$bench" --help | grep -q '^  --jobs '; then
+            jobs_flag="--jobs 2"
+        fi
+        "$bench" --requests 2000 $jobs_flag > "$bindir/$name.smoke.txt"
         if [ -f "$golden/$name.txt" ]; then
             diff -u "$golden/$name.txt" "$bindir/$name.smoke.txt"
         else
@@ -111,14 +142,14 @@ for preset in $presets; do
 
     # Decode-ahead differential (DESIGN.md section 7.17): the
     # streamed run above uses the default prefetch pipeline, so
-    # diffing an inline (--no-prefetch) run and an awkward batch
+    # diffing an inline (--prefetch 0) run and an awkward batch
     # size against it proves the producer thread is invisible —
     # and under the tsan preset the default run doubles as the
     # data-race probe for the hand-off ring.
     echo "==> prefetch differential [$preset]"
     "$bindir"/examples/simulate_trace --trace-file "$fixture" \
         --trace-format csv --version-period 3 --system dvp \
-        --queue-depth 8 --no-prefetch \
+        --queue-depth 8 --prefetch 0 \
         > "$bindir/replay_csv.noprefetch.txt"
     diff -u "$bindir/replay_csv.smoke.txt" \
         "$bindir/replay_csv.noprefetch.txt"

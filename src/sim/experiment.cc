@@ -14,6 +14,124 @@ namespace zombie
 namespace
 {
 
+/** Set a numeric field, range-checked to its type or to Range. */
+template <auto Field, auto... Range>
+std::string
+number(ExperimentOptions &opts, std::string_view text)
+{
+    return parseNumber(text, opts.*Field, Range...);
+}
+
+/** Set a text field (an output path) verbatim. */
+template <auto Field>
+std::string
+text(ExperimentOptions &opts, std::string_view value)
+{
+    opts.*Field = std::string(value);
+    return {};
+}
+
+using Opts = ExperimentOptions;
+
+constexpr std::string_view kGcPolicies =
+    "auto|greedy|popularity|wear:greedy|wear:popularity";
+
+/**
+ * The table. Order matters twice: experimentOptions() applies rows
+ * in this order (requests before pool-frac, which scales by it), and
+ * grid axes nest in it, outermost first, after the system axis.
+ */
+constexpr ExperimentKey kKeys[] = {
+    {"workload", "mail",
+     "workload preset: web|home|mail|hadoop|trans|desktop", nullptr,
+     nullptr},
+    {"day", "1", "trace day of the workload preset (1-based)", nullptr,
+     number<&Opts::day, 1, std::numeric_limits<int>::max()>},
+    {"requests", nullptr, "trace length in requests", nullptr,
+     number<&Opts::requests>},
+    {"seed", "42", "trace generator seed", nullptr, number<&Opts::seed>},
+    {"queue-depth", "1",
+     "host-interface queue depth (NCQ-style dispatch contexts; 1 = "
+     "the classic serialized dispatcher)",
+     "depth", number<&Opts::queueDepth>},
+    {"gc", "auto",
+     "GC victim policy: auto|greedy|popularity|wear:greedy|"
+     "wear:popularity",
+     "gc",
+     [](Opts &opts, std::string_view v) -> std::string {
+         opts.gcPolicy = std::string(v);
+         const std::string list = "|" + std::string(kGcPolicies) + "|";
+         if (list.find("|" + opts.gcPolicy + "|") != std::string::npos)
+             return {};
+         return "unknown gc policy '" + opts.gcPolicy + "' (" +
+                std::string(kGcPolicies) + ")";
+     }},
+    {"pool", nullptr, "dead-value pool entries", "pool",
+     number<&Opts::poolCapacity>},
+    {"pool-frac", nullptr,
+     "dead-value pool entries as a fraction of the trace length "
+     "(0.02 ~ the paper's 200K entries at day-trace scale)",
+     nullptr,
+     [](Opts &opts, std::string_view v) {
+         double frac = 0.0;
+         std::string err = parseNumber(v, frac, 0.0, 1.0);
+         opts.poolCapacity = scaledPool(opts.requests, frac);
+         return err;
+     }},
+    {"op", "0.15", "over-provisioning fraction", nullptr,
+     number<&Opts::op, 0.0, 10.0>},
+    {"tenants", "1",
+     "tenant count; >1 splits a generated workload into per-namespace "
+     "streams",
+     nullptr, number<&Opts::tenants, std::uint32_t{1}, kMaxTenants>},
+    {"arbiter", "rr", "submission-queue arbiter: rr | wrr:<w0,w1,..>",
+     nullptr,
+     [](Opts &opts, std::string_view v) {
+         opts.arbiter = std::string(v);
+         parseArbiterSpec(opts.arbiter); // fatal when malformed
+         return std::string();
+     }},
+    {"dvp-scope", "shared", "dead-value pool tenancy: shared | partitioned",
+     nullptr,
+     [](Opts &opts, std::string_view v) {
+         opts.dvpScope = std::string(v);
+         dvpScopeFromString(opts.dvpScope); // fatal when unknown
+         return std::string();
+     }},
+    {"prefetch", "4096",
+     "decode-ahead batch size for streamed replay (0 = decode inline "
+     "on the simulation thread; byte-identical either way)",
+     nullptr, number<&Opts::prefetchBatch>},
+    {"stats-interval", "0",
+     "epoch-sampler interval in simulated microseconds (0 = off)",
+     nullptr,
+     [](Opts &opts, std::string_view v) {
+         double us = 0.0;
+         std::string err = parseNumber(v, us, 0.0, 1e12);
+         opts.statsInterval = ticksFromUs(us);
+         return err;
+     }},
+    {"stats-csv", "", "epoch series CSV output (benches tag it per cell)",
+     nullptr, text<&Opts::statsCsv>},
+    {"stats-json", "", "epoch series JSON output (benches tag it per cell)",
+     nullptr, text<&Opts::statsJson>},
+    {"trace-out", "",
+     "Perfetto trace of flash-op spans (benches tag it per cell)", nullptr,
+     text<&Opts::traceOut>},
+    {"span-limit", "1000000", "maximum spans kept per op trace", nullptr,
+     number<&Opts::traceLimit>},
+    {"dump-stats", "",
+     "end-of-run stat-registry dump (benches tag it per cell)", nullptr,
+     text<&Opts::statsDump>},
+    {"jobs", "1",
+     "cells to run concurrently (0 = one per hardware thread); "
+     "results are byte-identical for any value",
+     nullptr, nullptr},
+    {"csv", "", "also write the series to this CSV file", nullptr, nullptr},
+    {"wall-json", "", "also write wall time and requests/s as JSON here",
+     nullptr, nullptr},
+};
+
 /** Open @p path for writing; fatal (user error) when that fails. */
 std::ofstream
 openOutput(const std::string &path)
@@ -24,7 +142,63 @@ openOutput(const std::string &path)
     return os;
 }
 
-/** Write the run's requested telemetry artifacts (post-drain). */
+} // namespace
+
+std::uint64_t
+scaledPool(std::uint64_t requests, double frac)
+{
+    return std::max<std::uint64_t>(
+        256,
+        static_cast<std::uint64_t>(frac *
+                                   static_cast<double>(requests)));
+}
+
+std::span<const ExperimentKey>
+experimentKeys()
+{
+    return kKeys;
+}
+
+const ExperimentKey &
+experimentKey(std::string_view name)
+{
+    for (const ExperimentKey &key : kKeys) {
+        if (name == key.name)
+            return key;
+    }
+    zombie_panic("no experiment key --", name);
+}
+
+void
+addExperimentKeys(ArgParser &args, std::initializer_list<KeyUse> keys)
+{
+    for (const KeyUse &use : keys) {
+        const ExperimentKey &key = experimentKey(use.name);
+        // Exactly one of the table and the program sets the default.
+        zombie_assert((key.def == nullptr) != (use.def == nullptr),
+                      "--", key.name,
+                      key.def ? " has a table-wide default"
+                              : " needs a program default");
+        args.addOption(key.name, key.def ? key.def : use.def,
+                       key.help);
+    }
+}
+
+ExperimentOptions
+experimentOptions(const ArgParser &args)
+{
+    ExperimentOptions opts;
+    for (const ExperimentKey &key : kKeys) {
+        if (!key.set || !args.has(key.name))
+            continue;
+        if (const std::string err =
+                key.set(opts, args.getString(key.name));
+            !err.empty())
+            zombie_fatal("--", key.name, ": ", err);
+    }
+    return opts;
+}
+
 void
 writeTelemetry(Ssd &ssd, const ExperimentOptions &opts)
 {
@@ -52,12 +226,14 @@ writeTelemetry(Ssd &ssd, const ExperimentOptions &opts)
     }
 }
 
-/** Apply the option knobs shared by every entry point. */
-void
-applyOptions(SsdConfig &cfg, const ExperimentOptions &opts)
+SsdConfig
+driveConfig(std::uint64_t footprint_pages, SystemKind system,
+            const ExperimentOptions &opts,
+            const std::vector<std::uint64_t> &namespace_pages)
 {
+    SsdConfig cfg =
+        SsdConfig::forFootprint(footprint_pages, system, opts.op);
     cfg.mq.capacity = opts.poolCapacity;
-    cfg.mq.numQueues = opts.mqQueues;
     cfg.gcPolicy = opts.gcPolicy;
     cfg.queueDepth = opts.queueDepth;
     const ArbiterSpec arb = parseArbiterSpec(opts.arbiter);
@@ -67,9 +243,14 @@ applyOptions(SsdConfig &cfg, const ExperimentOptions &opts)
     cfg.statsInterval = opts.statsInterval;
     cfg.opTrace = !opts.traceOut.empty();
     cfg.traceLimit = opts.traceLimit;
+    if (namespace_pages.size() > 1) {
+        cfg.tenants = static_cast<std::uint32_t>(namespace_pages.size());
+        cfg.namespacePages = namespace_pages;
+    }
+    if (opts.tweak)
+        opts.tweak(cfg);
+    return cfg;
 }
-
-} // namespace
 
 SimResult
 runSystemOnProfile(const WorkloadProfile &profile, SystemKind system,
@@ -82,13 +263,7 @@ runSystemOnProfile(const WorkloadProfile &profile, SystemKind system,
     }
 
     SyntheticTraceGenerator gen(profile);
-
-    SsdConfig cfg = SsdConfig::forProfile(profile, system);
-    applyOptions(cfg, opts);
-    if (opts.tweak)
-        opts.tweak(cfg);
-
-    Ssd ssd(cfg);
+    Ssd ssd(driveConfig(profile.totalLpnSpace(), system, opts));
     ssd.run(gen);
     SimResult result = ssd.result();
     writeTelemetry(ssd, opts);
@@ -99,19 +274,9 @@ SimResult
 runSystemOnScannedTrace(const ScannedTrace &scan, SystemKind system,
                         const ExperimentOptions &opts)
 {
-    SsdConfig cfg = SsdConfig::forFootprint(
-        std::max<std::uint64_t>(scan.footprintPages, 1), system);
-    applyOptions(cfg, opts);
-    if (scan.tenantPages.size() > 1) {
-        // Device-routed trace: the scan laid the namespaces out.
-        cfg.tenants =
-            static_cast<std::uint32_t>(scan.tenantPages.size());
-        cfg.namespacePages = scan.tenantPages;
-    }
-    if (opts.tweak)
-        opts.tweak(cfg);
-
-    Ssd ssd(cfg);
+    // A device-routed scan lays the tenant namespaces out itself.
+    Ssd ssd(driveConfig(std::max<std::uint64_t>(scan.footprintPages, 1),
+                        system, opts, scan.tenantPages));
     // Decode ahead on a producer thread (order-preserving, so the
     // engine sees the identical record stream either way).
     const auto src = maybePrefetch(
@@ -130,15 +295,8 @@ runTenantProfiles(const std::vector<WorkloadProfile> &profiles,
 
     // Size the drive for the combined footprint; each namespace is
     // a contiguous LPN range at its tenant's base.
-    SsdConfig cfg =
-        SsdConfig::forFootprint(gen.totalLpnSpace(), system);
-    applyOptions(cfg, opts);
-    cfg.tenants = gen.tenants();
-    cfg.namespacePages = gen.allNamespacePages();
-    if (opts.tweak)
-        opts.tweak(cfg);
-
-    Ssd ssd(cfg);
+    Ssd ssd(driveConfig(gen.totalLpnSpace(), system, opts,
+                        gen.allNamespacePages()));
     ssd.run(gen);
     SimResult result = ssd.result();
     writeTelemetry(ssd, opts);

@@ -3,6 +3,11 @@
  * Experiment runner: generate a workload trace, simulate it on one or
  * more systems, and compare against the Baseline — the shape every
  * evaluation figure (9-12, 14, 15) follows.
+ *
+ * Every key an experiment program shares — a flag such as
+ * --queue-depth, a --grid axis such as depth= — is one row of the
+ * key table in experiment.cc: name, default, help and a strict parse
+ * into its ExperimentOptions field (DESIGN.md section 7.18).
  */
 
 #ifndef ZOMBIE_SIM_EXPERIMENT_HH
@@ -10,11 +15,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "sim/ssd.hh"
 #include "trace/adapters.hh"
 #include "trace/profile.hh"
+#include "util/args.hh"
 
 namespace zombie
 {
@@ -31,10 +40,12 @@ struct ExperimentOptions
 
     /** "auto" | "greedy" | "popularity". */
     std::string gcPolicy = "auto";
-    std::uint32_t mqQueues = 8;
 
     /** Host-interface queue depth (SsdConfig::queueDepth). */
     std::uint32_t queueDepth = 1;
+
+    /** Over-provisioning fraction the drive is sized with. */
+    double op = 0.15;
 
     /**
      * Multi-tenant frontend. tenants > 1 splits the workload into
@@ -77,6 +88,60 @@ struct ExperimentOptions
     /** Optional hook to tweak the SsdConfig before construction. */
     std::function<void(SsdConfig &)> tweak;
 };
+
+/** One experiment key: a flag and, with an axis name, a grid axis. */
+struct ExperimentKey
+{
+    const char *name; //!< flag name without the leading "--"
+    const char *def;  //!< table-wide default; null = per program
+    const char *help;
+    const char *axis; //!< --grid axis name; null = not sweepable
+    /**
+     * Parse @p text strictly into this key's field: returns "" or a
+     * message naming the bad value. Null for harness keys (--jobs,
+     * --csv, --wall-json, --workload), which have no field.
+     */
+    std::string (*set)(ExperimentOptions &opts, std::string_view text);
+};
+
+/** Every key, in the order experimentOptions() applies them. */
+std::span<const ExperimentKey> experimentKeys();
+
+/** The row named @p name; panics when there is none. */
+const ExperimentKey &experimentKey(std::string_view name);
+
+/** A row to register; def only for rows without a table default. */
+struct KeyUse
+{
+    const char *name;
+    const char *def = nullptr;
+};
+
+/** Register the rows @p keys on @p args, in the listed order. */
+void addExperimentKeys(ArgParser &args, std::initializer_list<KeyUse> keys);
+
+/**
+ * Options from every registered row that has a field, applied in
+ * table order; fatal on a malformed value.
+ */
+ExperimentOptions experimentOptions(const ArgParser &args);
+
+/** Paper-equivalent pool size: fraction of the trace length. */
+std::uint64_t scaledPool(std::uint64_t requests, double frac);
+
+/**
+ * The drive every entry point builds for a trace of
+ * @p footprint_pages: sized at opts.op, the option knobs applied,
+ * @p namespace_pages laid out when they name several tenants, then
+ * opts.tweak.
+ */
+SsdConfig driveConfig(std::uint64_t footprint_pages, SystemKind system,
+                      const ExperimentOptions &opts,
+                      const std::vector<std::uint64_t> &namespace_pages =
+                          {});
+
+/** Write the telemetry @p opts asks for once @p ssd has drained. */
+void writeTelemetry(Ssd &ssd, const ExperimentOptions &opts);
 
 /** Simulate @p system on the given workload; trace is regenerated
  *  deterministically from (workload, day, requests, seed) so every

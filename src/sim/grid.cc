@@ -1,6 +1,6 @@
 #include "sim/grid.hh"
 
-#include <charconv>
+#include <algorithm>
 #include <cstdlib>
 #include <unistd.h>
 
@@ -14,16 +14,42 @@ namespace zombie
 namespace
 {
 
-std::uint64_t
-parseAxisUint(std::string_view field, const std::string &spec)
+/** Split @p text at @p sep; a trailing separator adds no part. */
+std::vector<std::string>
+split(std::string_view text, char sep)
 {
-    std::uint64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(
-        field.data(), field.data() + field.size(), value);
-    if (ec != std::errc{} || ptr != field.data() + field.size())
-        zombie_fatal("bad number '", std::string(field),
-                     "' in grid spec '", spec, "'");
-    return value;
+    std::vector<std::string> parts;
+    while (!text.empty()) {
+        const std::size_t at = text.find(sep);
+        parts.emplace_back(text.substr(0, at));
+        text = at == std::string_view::npos ? std::string_view{}
+                                            : text.substr(at + 1);
+    }
+    return parts;
+}
+
+/**
+ * Set axis @p name to @p value on @p cell: the system axis picks the
+ * cell's system, every other axis parses through its key row. Fatal
+ * on a value the axis rejects.
+ */
+void
+applyAxis(const std::string &name, const std::string &value,
+          GridCell &cell)
+{
+    if (name == "system") {
+        cell.system = systemKindFromString(value);
+        return;
+    }
+    for (const ExperimentKey &key : experimentKeys()) {
+        if (key.axis && name == key.axis) {
+            if (const std::string err = key.set(cell.opts, value);
+                !err.empty())
+                zombie_fatal("grid axis '", name, "': ", err);
+            return;
+        }
+    }
+    zombie_panic("grid axis '", name, "' has no key row");
 }
 
 } // namespace
@@ -31,72 +57,53 @@ parseAxisUint(std::string_view field, const std::string &spec)
 std::uint64_t
 GridSpec::cells() const
 {
-    const auto axis = [](std::size_t n) {
-        return static_cast<std::uint64_t>(n > 0 ? n : 1);
-    };
-    return axis(systems.size()) * axis(depths.size()) *
-           axis(gcPolicies.size()) * axis(pools.size());
+    std::uint64_t n = 1;
+    for (const Axis &axis : axes)
+        n *= axis.values.size();
+    return n;
 }
 
 GridSpec
 parseGridSpec(const std::string &text)
 {
+    // Every axis, outermost first; the unlisted ones are dropped last.
     GridSpec spec;
-    std::string_view rest = text;
-    while (!rest.empty()) {
-        const std::size_t semi = rest.find(';');
-        std::string_view clause = rest.substr(0, semi);
-        rest = semi == std::string_view::npos
-                   ? std::string_view{}
-                   : rest.substr(semi + 1);
+    std::string known = "system";
+    spec.axes.push_back({known, {}});
+    for (const ExperimentKey &key : experimentKeys()) {
+        if (key.axis) {
+            spec.axes.push_back({key.axis, {}});
+            known += std::string("|") + key.axis;
+        }
+    }
+
+    GridCell scratch{"", SystemKind::Baseline, {}};
+    for (const std::string &clause : split(text, ';')) {
         if (clause.empty())
             continue;
         const std::size_t eq = clause.find('=');
-        if (eq == std::string_view::npos)
-            zombie_fatal("grid clause '", std::string(clause),
+        if (eq == std::string::npos)
+            zombie_fatal("grid clause '", clause,
                          "' has no '=' (want key=v1,v2,..)");
-        const std::string_view key = clause.substr(0, eq);
-        std::string_view values = clause.substr(eq + 1);
+        const std::string key = clause.substr(0, eq);
+        const auto fields =
+            split(std::string_view(clause).substr(eq + 1), ',');
+        if (fields.empty() || (fields.size() == 1 && fields[0].empty()))
+            zombie_fatal("grid axis '", key, "' has no values");
 
-        std::vector<std::string_view> fields;
-        while (!values.empty()) {
-            const std::size_t comma = values.find(',');
-            fields.push_back(values.substr(0, comma));
-            values = comma == std::string_view::npos
-                         ? std::string_view{}
-                         : values.substr(comma + 1);
-        }
-        if (fields.empty() ||
-            (fields.size() == 1 && fields[0].empty()))
-            zombie_fatal("grid axis '", std::string(key),
-                         "' has no values");
-
-        for (const std::string_view f : fields) {
-            const std::string value(f);
-            if (key == "system") {
-                systemKindFromString(value); // validate, fatal on typo
-                spec.systems.push_back(value);
-            } else if (key == "depth") {
-                spec.depths.push_back(static_cast<std::uint32_t>(
-                    parseAxisUint(f, text)));
-            } else if (key == "gc") {
-                if (value != "auto" && value != "greedy" &&
-                    value != "popularity" &&
-                    value != "wear:greedy" &&
-                    value != "wear:popularity")
-                    zombie_fatal("unknown gc policy '", value,
-                                 "' in grid spec (auto|greedy|"
-                                 "popularity|wear:greedy|"
-                                 "wear:popularity)");
-                spec.gcPolicies.push_back(value);
-            } else if (key == "pool") {
-                spec.pools.push_back(parseAxisUint(f, text));
-            } else {
-                zombie_fatal("unknown grid axis '", std::string(key),
-                             "' (system|depth|gc|pool)");
-            }
+        const auto axis = std::find_if(
+            spec.axes.begin(), spec.axes.end(),
+            [&key](const GridSpec::Axis &a) { return a.name == key; });
+        if (axis == spec.axes.end())
+            zombie_fatal("unknown grid axis '", key, "' (", known, ")");
+        for (const std::string &field : fields) {
+            applyAxis(key, field, scratch); // validate, fatal on typo
+            axis->values.push_back(field);
         }
     }
+    std::erase_if(spec.axes, [](const GridSpec::Axis &a) {
+        return a.values.empty();
+    });
     return spec;
 }
 
@@ -106,69 +113,29 @@ expandGrid(const GridSpec &spec, SystemKind base_system,
 {
     // Telemetry paths are per-run artifacts; concurrent cells
     // writing one file would interleave, so the sweep drops them.
-    ExperimentOptions cell_base = base;
-    cell_base.statsCsv.clear();
-    cell_base.statsJson.clear();
-    cell_base.traceOut.clear();
-    cell_base.statsDump.clear();
+    std::vector<GridCell> cells{{"", base_system, base}};
+    cells[0].opts.statsCsv.clear();
+    cells[0].opts.statsJson.clear();
+    cells[0].opts.traceOut.clear();
+    cells[0].opts.statsDump.clear();
 
-    const auto appendAxis = [](std::string &label,
-                               const std::string &key,
-                               const std::string &value) {
-        if (!label.empty())
-            label += ' ';
-        label += key + '=' + value;
-    };
-
-    std::vector<GridCell> cells;
-    const std::vector<std::string> one{std::string()};
-    const auto &systems =
-        spec.systems.empty() ? one : spec.systems;
-    const auto &gcs =
-        spec.gcPolicies.empty() ? one : spec.gcPolicies;
-    const std::vector<std::uint64_t> no_u64{0};
-    const auto depths64 = [&] {
-        std::vector<std::uint64_t> v;
-        for (const auto d : spec.depths)
-            v.push_back(d);
-        return v;
-    }();
-    const auto &depths = spec.depths.empty() ? no_u64 : depths64;
-    const auto &pools = spec.pools.empty() ? no_u64 : spec.pools;
-
-    for (const auto &system : systems) {
-        for (const auto depth : depths) {
-            for (const auto &gc : gcs) {
-                for (const auto pool : pools) {
-                    GridCell cell;
-                    cell.system = system.empty()
-                                      ? base_system
-                                      : systemKindFromString(system);
-                    cell.opts = cell_base;
-                    if (!system.empty())
-                        appendAxis(cell.label, "system", system);
-                    if (!spec.depths.empty()) {
-                        cell.opts.queueDepth =
-                            static_cast<std::uint32_t>(depth);
-                        appendAxis(cell.label, "depth",
-                                   std::to_string(depth));
-                    }
-                    if (!gc.empty()) {
-                        cell.opts.gcPolicy = gc;
-                        appendAxis(cell.label, "gc", gc);
-                    }
-                    if (!spec.pools.empty()) {
-                        cell.opts.poolCapacity = pool;
-                        appendAxis(cell.label, "pool",
-                                   std::to_string(pool));
-                    }
-                    if (cell.label.empty())
-                        cell.label = "base";
-                    cells.push_back(std::move(cell));
-                }
+    // Each axis multiplies the cells so far, so the first listed
+    // axis ends up outermost.
+    for (const GridSpec::Axis &axis : spec.axes) {
+        std::vector<GridCell> next;
+        next.reserve(cells.size() * axis.values.size());
+        for (const GridCell &cell : cells) {
+            for (const std::string &value : axis.values) {
+                GridCell &out = next.emplace_back(cell);
+                applyAxis(axis.name, value, out);
+                out.label += (out.label.empty() ? "" : " ") +
+                             axis.name + '=' + value;
             }
         }
+        cells = std::move(next);
     }
+    if (spec.axes.empty())
+        cells[0].label = "base";
     return cells;
 }
 
@@ -246,12 +213,8 @@ runGridOnScannedTrace(const ScannedTrace &scan, const GridSpec &spec,
     const std::vector<GridCell> cells =
         expandGrid(spec, base_system, base);
 
-    ScannedTrace spooled;
+    ScannedTrace spooled = scan;
     spooled.factory = spool.factory();
-    spooled.records = scan.records;
-    spooled.footprintPages = scan.footprintPages;
-    spooled.summary = scan.summary;
-    spooled.tenantPages = scan.tenantPages;
 
     auto results = parallelMap(
         ThreadPool::resolveJobs(jobs), cells.size(),

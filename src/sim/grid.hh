@@ -33,24 +33,32 @@ namespace zombie
 {
 
 /**
- * Axis values for a grid sweep. An empty axis means "inherit the
- * base configuration" and contributes nothing to cell labels.
+ * The axes of a grid sweep, each a key swept over its values. The
+ * system axis picks the cell's system; every other axis is an
+ * experiment-key row (sim/experiment.hh) and applies its values through
+ * that row's parser, exactly as the matching flag would. An axis the
+ * spec does not list inherits the base configuration and contributes
+ * nothing to cell labels.
  */
 struct GridSpec
 {
-    std::vector<std::string> systems;   //!< "dvp", "dedup", ...
-    std::vector<std::uint32_t> depths;  //!< host queue depths
-    std::vector<std::string> gcPolicies; //!< "auto|greedy|popularity"
-    std::vector<std::uint64_t> pools;   //!< DVP/MQ pool entries
+    struct Axis
+    {
+        std::string name;                //!< "system", "depth", ...
+        std::vector<std::string> values; //!< as written in the spec
+    };
 
-    /** Total cell count (product of non-empty axes). */
+    /** Listed axes, outermost first: system, then table order. */
+    std::vector<Axis> axes;
+
+    /** Total cell count (product of the listed axes). */
     std::uint64_t cells() const;
 };
 
 /**
  * Parse "system=dvp,dedup;depth=1,32;gc=greedy;pool=5000" into a
- * GridSpec. Unknown keys, empty value lists and unparseable numbers
- * are fatal (user error).
+ * GridSpec. Unknown axes, empty value lists and values their key
+ * rejects are fatal (user error); a repeated axis appends values.
  */
 GridSpec parseGridSpec(const std::string &text);
 
@@ -65,8 +73,8 @@ struct GridCell
 /**
  * Expand @p spec against @p base (which supplies every unlisted
  * knob) in deterministic axis-major order: system outermost, then
- * depth, gc, pool. Per-cell telemetry outputs are cleared —
- * cells would race on shared output paths.
+ * depth, gc, pool (the key table's order). Per-cell telemetry
+ * outputs are cleared — cells would race on shared output paths.
  */
 std::vector<GridCell> expandGrid(const GridSpec &spec,
                                  SystemKind base_system,

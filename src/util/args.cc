@@ -92,44 +92,71 @@ ArgParser::getString(const std::string &name) const
     return it != parsed.end() ? it->second : opt.def;
 }
 
+template <typename T>
+T
+ArgParser::getNumber(const std::string &name, T lo, T hi) const
+{
+    T value{};
+    if (const std::string err = parseNumber(getString(name), value, lo, hi);
+        !err.empty())
+        zombie_fatal("--", name, ": ", err);
+    return value;
+}
+
 std::int64_t
 ArgParser::getInt(const std::string &name) const
 {
-    const std::string text = getString(name);
-    try {
-        return std::stoll(text);
-    } catch (...) {
-        zombie_fatal("--", name, " expects an integer, got '", text, "'");
-    }
+    return getNumber(name, std::numeric_limits<std::int64_t>::lowest(),
+                     std::numeric_limits<std::int64_t>::max());
 }
 
 std::uint64_t
-ArgParser::getUint(const std::string &name) const
+ArgParser::getUint(const std::string &name, std::uint64_t lo,
+                   std::uint64_t hi) const
 {
-    const std::string text = getString(name);
-    try {
-        return std::stoull(text);
-    } catch (...) {
-        zombie_fatal("--", name, " expects an unsigned integer, got '",
-                     text, "'");
-    }
+    return getNumber(name, lo, hi);
 }
 
 double
-ArgParser::getDouble(const std::string &name) const
+ArgParser::getDouble(const std::string &name, double lo, double hi) const
 {
-    const std::string text = getString(name);
-    try {
-        return std::stod(text);
-    } catch (...) {
-        zombie_fatal("--", name, " expects a number, got '", text, "'");
-    }
+    return getNumber(name, lo, hi);
 }
 
 bool
 ArgParser::getFlag(const std::string &name) const
 {
     return getString(name) == "true";
+}
+
+bool
+ArgParser::has(const std::string &name) const
+{
+    return options.count(name) != 0;
+}
+
+std::string
+ArgParser::getChoice(const std::string &name,
+                     std::initializer_list<const char *> choices) const
+{
+    const std::string value = getString(name);
+    std::string list;
+    for (const char *choice : choices) {
+        if (value == choice)
+            return value;
+        list += (list.empty() ? "" : "|") + std::string(choice);
+    }
+    zombie_fatal("--", name, ": '", value, "' is not one of ", list);
+}
+
+void
+ArgParser::rejectGiven(std::initializer_list<const char *> names,
+                       const std::string &why) const
+{
+    for (const char *name : names) {
+        if (parsed.count(name))
+            zombie_fatal("--", name, " ", why);
+    }
 }
 
 std::string

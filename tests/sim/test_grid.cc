@@ -60,12 +60,19 @@ TEST_F(GridTest, ParseReadsEveryAxis)
 {
     const GridSpec spec = parseGridSpec(
         "system=dedup,dvp;depth=1,32;gc=greedy;pool=5000");
-    EXPECT_EQ(spec.systems,
-              (std::vector<std::string>{"dedup", "dvp"}));
-    EXPECT_EQ(spec.depths, (std::vector<std::uint32_t>{1, 32}));
-    EXPECT_EQ(spec.gcPolicies, (std::vector<std::string>{"greedy"}));
-    EXPECT_EQ(spec.pools, (std::vector<std::uint64_t>{5000}));
     EXPECT_EQ(spec.cells(), 4u); // 2 systems x 2 depths
+    const auto cells =
+        expandGrid(spec, SystemKind::Baseline, ExperimentOptions{});
+    ASSERT_EQ(cells.size(), 4u);
+    const SystemKind systems[] = {SystemKind::Dedup, SystemKind::Dedup,
+                                  SystemKind::MqDvp, SystemKind::MqDvp};
+    const std::uint32_t depths[] = {1, 32, 1, 32};
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(cells[i].system, systems[i]) << "cell " << i;
+        EXPECT_EQ(cells[i].opts.queueDepth, depths[i]) << "cell " << i;
+        EXPECT_EQ(cells[i].opts.gcPolicy, "greedy") << "cell " << i;
+        EXPECT_EQ(cells[i].opts.poolCapacity, 5000u) << "cell " << i;
+    }
 }
 
 TEST_F(GridTest, ParseEmptySpecIsOneCell)
@@ -90,6 +97,20 @@ TEST(GridDeath, ParseRejectsMalformedSpecs)
                 testing::ExitedWithCode(1), "unknown system");
     EXPECT_EXIT((void)parseGridSpec("engine=serial"),
                 testing::ExitedWithCode(1), "unknown grid axis");
+}
+
+TEST(GridDeath, AxisValuesParseLikeTheirFlags)
+{
+    // Grid values go through the same key rows as --queue-depth and
+    // --pool: whole, in-range numbers only, never truncated.
+    const auto bad = testing::ExitedWithCode(1);
+    EXPECT_EXIT((void)parseGridSpec("depth=4294967297"), bad,
+                "bad number '4294967297'");
+    EXPECT_EXIT((void)parseGridSpec("depth=-1"), bad, "bad number");
+    EXPECT_EXIT((void)parseGridSpec("depth=8x"), bad, "bad number");
+    EXPECT_EXIT((void)parseGridSpec("pool=1e6"), bad, "bad number");
+    EXPECT_EXIT((void)parseGridSpec("pool=-1"), bad, "bad number");
+    EXPECT_EXIT((void)parseGridSpec("depth=1,,8"), bad, "bad number");
 }
 
 TEST_F(GridTest, ExpandIsAxisMajorWithMinimalLabels)
@@ -194,6 +215,33 @@ TEST_F(GridTest, CellsMatchStandaloneRunsEvenWhenSpooled)
         EXPECT_EQ(spooled_disk[i].result.toStatSet().format(), want)
             << "disk spool, cell " << cells[i].label;
     }
+}
+
+TEST_F(GridTest, BaseOpReachesEveryCell)
+{
+    const ScannedTrace scan = scanGeneratedCsv(4'000, 34);
+    const GridSpec spec = parseGridSpec("depth=1");
+    ExperimentOptions base;
+    base.poolCapacity = 2'000;
+    base.op = 0.5;
+
+    const auto cells = expandGrid(spec, SystemKind::MqDvp, base);
+    ASSERT_EQ(cells.size(), 1u);
+    EXPECT_EQ(cells[0].opts.op, 0.5);
+
+    const auto swept =
+        runGridOnScannedTrace(scan, spec, SystemKind::MqDvp, base);
+    ASSERT_EQ(swept.size(), 1u);
+    const std::string got = swept[0].result.toStatSet().format();
+    EXPECT_EQ(got, runSystemOnScannedTrace(scan, SystemKind::MqDvp, base)
+                       .toStatSet()
+                       .format());
+    ExperimentOptions default_op = base;
+    default_op.op = ExperimentOptions{}.op;
+    EXPECT_NE(got, runSystemOnScannedTrace(scan, SystemKind::MqDvp,
+                                           default_op)
+                       .toStatSet()
+                       .format());
 }
 
 TEST_F(GridTest, WorkerCountDoesNotChangeResults)
