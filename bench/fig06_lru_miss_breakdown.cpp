@@ -10,7 +10,6 @@
 
 #include "analysis/reuse.hh"
 #include "bench_common.hh"
-#include "dvp/lru_dvp.hh"
 #include "dvp/mq_dvp.hh"
 #include "trace/generator.hh"
 
@@ -53,12 +52,13 @@ main(int argc, char **argv)
         Workload::Mail, 2, opts.requests, opts.seed);
     const auto trace = SyntheticTraceGenerator(profile).generateAll();
 
-    const auto lru_bins =
-        replay(trace, std::make_unique<LruDvp>(capacity));
-    MqDvpConfig mq_cfg;
-    mq_cfg.capacity = capacity;
-    const auto mq_bins =
-        replay(trace, std::make_unique<MqDvp>(mq_cfg));
+    // LRU is the MQ scheme with one queue.
+    const auto lru_bins = replay(
+        trace, std::make_unique<MqDvp>(
+                   MqDvpConfig{.capacity = capacity, .numQueues = 1}));
+    const auto mq_bins = replay(
+        trace,
+        std::make_unique<MqDvp>(MqDvpConfig{.capacity = capacity}));
 
     TextTable table({"popularity degree", "values",
                      "avg LRU misses", "avg MQ misses"});

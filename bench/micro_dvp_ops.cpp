@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "dvp/lru_dvp.hh"
 #include "dvp/lx_dvp.hh"
 #include "dvp/mq_dvp.hh"
 #include "util/random.hh"
@@ -24,16 +23,12 @@ using namespace zombie;
 std::unique_ptr<DeadValuePool>
 makePool(const std::string &kind, std::uint64_t capacity)
 {
-    if (kind == "mq") {
-        MqDvpConfig cfg;
-        cfg.capacity = capacity;
-        return std::make_unique<MqDvp>(cfg);
-    }
-    if (kind == "lru")
-        return std::make_unique<LruDvp>(capacity);
     if (kind == "lx")
         return std::make_unique<LxDvp>(capacity);
-    return std::make_unique<InfiniteDvp>();
+    MqDvpConfig cfg{.capacity = capacity};
+    if (kind == "lru")
+        cfg.numQueues = 1; // LRU is the MQ pool with one queue
+    return std::make_unique<MqDvp>(cfg);
 }
 
 /** Steady-state mixed workload: insert a death, look up a write. */

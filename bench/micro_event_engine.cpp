@@ -109,7 +109,7 @@ BM_SteadyStateAllocs(benchmark::State &state)
 
     // Warm the heap to its high-water mark.
     for (std::uint64_t i = 0; i < n; ++i)
-        engine.schedule(1 + rng.nextBounded(64), EventKind::Admit);
+        engine.schedule(1 + rng.nextBounded(64), EventKind::GcTail);
     engine.run();
 
     std::uint64_t allocs = 0;
@@ -118,7 +118,7 @@ BM_SteadyStateAllocs(benchmark::State &state)
         const std::uint64_t before = heapAllocCount();
         for (std::uint64_t i = 0; i < n; ++i) {
             engine.schedule(base + 1 + rng.nextBounded(64),
-                            EventKind::Admit);
+                            EventKind::GcTail);
         }
         engine.run();
         allocs += heapAllocCount() - before;
@@ -135,7 +135,6 @@ kindName(EventKind kind)
 {
     switch (kind) {
       case EventKind::HostArrival:  return "HostArrival";
-      case EventKind::Admit:        return "Admit";
       case EventKind::DispatchDone: return "DispatchDone";
       case EventKind::FlashDone:    return "FlashDone";
       case EventKind::GcTail:       return "GcTail";

@@ -105,6 +105,19 @@ for preset in $presets; do
     diff -u tests/golden/telemetry/simulate_trace_stats.txt \
         "$bindir/telemetry.smoke.stats.txt"
 
+    # The LRU and Ideal systems' pools are configurations of the MQ
+    # pool whose names derive from the configuration; their dumps
+    # pin the dvp.lru.* and dvp.infinite.* stat paths and counters.
+    for sys in lru ideal; do
+        "$bindir"/examples/simulate_trace --workload mail \
+            --system "$sys" --requests 20000 --seed 42 \
+            --queue-depth 4 \
+            --dump-stats "$bindir/telemetry.$sys.stats.txt" \
+            > /dev/null
+        diff -u "tests/golden/telemetry/${sys}_stats.txt" \
+            "$bindir/telemetry.$sys.stats.txt"
+    done
+
     # Multi-tenant smoke: two namespaces behind a 3:1 weighted
     # arbiter with partitioned pools. Deterministic like the rest,
     # so the whole stdout (drive-wide stats, tenant.N.* block and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "dvp/lru_dvp.hh"
 #include "dvp/mq_dvp.hh"
 #include "util/logging.hh"
 
@@ -106,9 +105,7 @@ ReuseResult
 analyzeLruReuse(const std::vector<TraceRecord> &records,
                 std::uint64_t capacity)
 {
-    ReuseAnalyzer analyzer(std::make_unique<LruDvp>(capacity));
-    analyzer.observeAll(records);
-    return analyzer.result();
+    return analyzeMqReuse(records, capacity, 1);
 }
 
 ReuseResult

@@ -38,14 +38,6 @@ struct ReuseResult
     {
         return writes - reusedWrites;
     }
-
-    double
-    reuseFraction() const
-    {
-        return writes ? static_cast<double>(reusedWrites) /
-                            static_cast<double>(writes)
-                      : 0.0;
-    }
 };
 
 /** Average capacity misses per value, binned by popularity degree. */
@@ -97,7 +89,8 @@ class ReuseAnalyzer
     ReuseResult res;
 };
 
-/** Convenience: replay through an LRU pool of @p capacity entries. */
+/** Convenience: replay through an LRU pool (a one-queue MQ pool) of
+ * @p capacity entries. */
 ReuseResult analyzeLruReuse(const std::vector<TraceRecord> &records,
                             std::uint64_t capacity);
 

@@ -8,11 +8,13 @@
  * hash hits the pool is short-circuited: one dead PPN is revived
  * (Invalid -> Valid) and no flash program happens.
  *
- * Four implementations cover the paper's studied systems:
- *  - MqDvp       the proposed Multi-Queue pool (sections III-IV),
- *  - LruDvp      the single-LRU strawman of Figures 5/6,
- *  - InfiniteDvp the "Ideal" infinite-capacity pool,
- *  - LxDvp       the LX-SSD prior-work baseline [20].
+ * Two implementations cover the paper's studied systems:
+ *  - MqDvp  the proposed Multi-Queue pool (sections III-IV). Its
+ *           one-queue configuration is the single-LRU strawman of
+ *           Figures 5/6, and one unbounded queue is the "Ideal"
+ *           infinite-capacity pool (see mq_dvp.hh),
+ *  - LxDvp  the LX-SSD prior-work baseline [20], keyed by LBA.
+ * PartitionedDvp composes per-tenant pools of either kind.
  *
  * Time is measured in write-request count, exactly as the paper's MQ
  * scheme does ("the i-th incoming write request has a timestamp i").

@@ -12,10 +12,10 @@ MqDvp::MqDvp(MqDvpConfig config) : cfg(config)
 {
     if (cfg.numQueues == 0)
         zombie_fatal("MQ-DVP needs at least one queue");
-    if (cfg.capacity == 0)
-        zombie_fatal("MQ-DVP capacity must be > 0 (use InfiniteDvp "
-                     "for the ideal system)");
     if (cfg.adaptive) {
+        if (cfg.capacity == 0)
+            zombie_fatal("adaptive MQ-DVP needs a starting capacity "
+                         "> 0");
         if (cfg.adaptiveMin == 0 || cfg.adaptiveWindow == 0)
             zombie_fatal("adaptive MQ-DVP needs a positive minimum "
                          "capacity and window");
@@ -34,6 +34,14 @@ MqDvp::MqDvp(MqDvpConfig config) : cfg(config)
         std::min<std::uint64_t>(cfg.capacity, 1u << 20);
     index.reserve(expected);
     ppnIndex.reserve(expected);
+}
+
+std::string
+MqDvp::name() const
+{
+    if (cfg.numQueues > 1)
+        return "mq";
+    return cfg.capacity == 0 ? "infinite" : "lru";
 }
 
 std::uint32_t
@@ -83,12 +91,14 @@ MqDvp::allocEntry()
 {
     // Reset fields individually rather than assigning Entry{}: the
     // reused slot's ppns vector keeps its capacity, so steady-state
-    // eviction/insertion churn never allocates.
+    // eviction/insertion churn never allocates. Only a bounded pool
+    // reserves to the high-water mark: its slot count is capped by
+    // the capacity, an unbounded pool's is not.
     const std::uint32_t h = entries.acquire();
     Entry &e = entries[h];
     e.fp = Fingerprint{};
     e.ppns.clear();
-    if (e.ppns.capacity() < ppnsHighWater)
+    if (cfg.capacity > 0 && e.ppns.capacity() < ppnsHighWater)
         e.ppns.reserve(ppnsHighWater);
     e.expire = 0;
     e.lastAccess = 0;
@@ -320,7 +330,7 @@ MqDvp::insertGarbage(const Fingerprint &fp, Lpn, Ppn ppn,
         return;
     }
 
-    if (liveEntries >= cfg.capacity)
+    if (cfg.capacity > 0 && liveEntries >= cfg.capacity)
         evictOne();
 
     const std::uint32_t h = allocEntry();

@@ -15,6 +15,12 @@
  *    non-empty queue when the pool exceeds its entry capacity.
  *
  * Time is the pool's write clock: one tick per lookupForWrite call.
+ *
+ * The paper's two reference pools are configurations of this class,
+ * not classes of their own. With one queue nothing is ever promoted
+ * or demoted, so the scheme is plain LRU over content: the Fig 5/6
+ * strawman ("lru"). One queue with capacity 0 never evicts: the
+ * Ideal system's infinite pool ("infinite").
  */
 
 #ifndef ZOMBIE_DVP_MQ_DVP_HH
@@ -34,6 +40,7 @@ namespace zombie
 /** Tunables (paper defaults: 8 queues, 200K entries). */
 struct MqDvpConfig
 {
+    /** Entry capacity; 0 = unbounded (reserves nothing). */
     std::uint64_t capacity = 200'000;
     std::uint32_t numQueues = 8;
 
@@ -86,7 +93,9 @@ class MqDvp : public DeadValuePool
   public:
     explicit MqDvp(MqDvpConfig config);
 
-    std::string name() const override { return "mq"; }
+    /** "lru" with one queue, "infinite" when also unbounded, else
+     * "mq". */
+    std::string name() const override;
 
     DvpLookupResult lookupForWrite(const Fingerprint &fp,
                                    Lpn lpn) override;
@@ -159,9 +168,10 @@ class MqDvp : public DeadValuePool
 
     /**
      * Largest ppns-vector capacity any entry has reached. Freshly
-     * acquired slots are reserved to this high-water mark, so once
-     * the workload's dead-copy multiplicity has been seen, slot
-     * reuse under eviction churn never touches the allocator.
+     * acquired slots of a bounded pool are reserved to this
+     * high-water mark, so once the workload's dead-copy multiplicity
+     * has been seen, slot reuse under eviction churn never touches
+     * the allocator.
      */
     std::size_t ppnsHighWater = 0;
 

@@ -75,12 +75,12 @@ BlockManager::BlockManager(FlashArray &array)
     for (auto &list : candidates)
         list.reserve(geom.blocksPerPlane());
     inCandidates.assign(geom.totalBlocks(), false);
-    planeEpochs.assign(planes, 0);
     for (std::uint64_t b = 0; b < geom.totalBlocks(); ++b)
         updateCandidate(b);
     // Every notified transition changes a victim score or candidate
-    // set, so the plane epoch bumps even when membership is stable.
-    // Plain function pointer + context: this fires per invalidation.
+    // set, so the plane's gate reopens even when membership is
+    // stable. Plain function pointer + context: this fires per
+    // invalidation.
     flash.setBlockListener(&BlockManager::onBlockChanged, this);
 }
 
@@ -88,7 +88,7 @@ void
 BlockManager::onBlockChanged(void *ctx, std::uint64_t block)
 {
     auto *self = static_cast<BlockManager *>(ctx);
-    self->bumpPlaneEpoch(self->geom.planeOfBlock(block));
+    self->reopenGcGate(self->geom.planeOfBlock(block));
     self->updateCandidate(block);
 }
 
@@ -125,7 +125,7 @@ BlockManager::refreshWaterBits(std::uint64_t plane)
 std::uint64_t
 BlockManager::nextUserPlane()
 {
-    if (!dieLoad && !loadProbe) {
+    if (!dieLoad) {
         const std::uint64_t plane = planeOrder[rrCursor];
         rrCursor = (rrCursor + 1) % planeOrder.size();
         return plane;
@@ -133,138 +133,109 @@ BlockManager::nextUserPlane()
 
     // Dynamic allocation: least-busy plane, visiting in round-robin
     // order so ties keep striping across channels. Planes that are
-    // out of spare blocks are skipped unless every plane is.
+    // out of spare blocks are skipped unless every plane is. This
+    // scan runs once per host write, so room is read from the
+    // incrementally maintained bit and the die is a table lookup
+    // instead of a division.
     const std::uint64_t n = planeOrder.size();
-    std::uint64_t best = planeOrder[rrCursor];
-    Tick best_load = kMaxTick;
-    bool best_has_room = false;
-
-    if (dieLoad) {
-        // Fast path: this scan runs once per host write, so room is
-        // read from the incrementally maintained bit and the die is
-        // a table lookup instead of a division.
-        std::uint64_t idx = rrCursor;
-        if (noRoomPlanes == 0) {
-            // Every plane has room (the steady state): the rotated
-            // strict-< argmin over positions picks the first rotated
-            // position whose die carries the globally smallest load.
-            // Scan the die table (planes / planesPerDie entries) for
-            // that minimum, then take the nearest-at-or-after-cursor
-            // position among the dies that carry it — far cheaper
-            // than gathering the load of all planes.
-            // With the group-min accelerator the minimum comes from
-            // the (dies / dieGroupSize)-entry group table, and only
-            // groups carrying it are descended into — the candidate
-            // die set and visit order are identical, so the choice
-            // is byte-identical to the flat scan.
-            Tick min_load;
+    std::uint64_t idx = rrCursor;
+    if (noRoomPlanes == 0) {
+        // Every plane has room (the steady state): the rotated
+        // strict-< argmin over positions picks the first rotated
+        // position whose die carries the globally smallest load.
+        // Scan the die table (planes / planesPerDie entries) for
+        // that minimum, then take the nearest-at-or-after-cursor
+        // position among the dies that carry it — far cheaper
+        // than gathering the load of all planes.
+        // With the group-min accelerator the minimum comes from
+        // the (dies / dieGroupSize)-entry group table, and only
+        // groups carrying it are descended into — the candidate
+        // die set and visit order are identical, so the choice
+        // is byte-identical to the flat scan.
+        Tick min_load;
+        if (dieGroupLoad) {
+            min_load = dieGroupLoad[0];
+            for (std::uint32_t g = 1; g < dieGroupCount; ++g)
+                min_load = std::min(min_load, dieGroupLoad[g]);
+        } else {
+            min_load = dieLoad[0];
+            for (std::uint32_t d = 1; d < dieCount; ++d)
+                min_load = std::min(min_load, dieLoad[d]);
+        }
+        // The sought position is the first one at or after the
+        // cursor (wrapping) whose die carries min_load. GC
+        // bursts leave whole burst's worth of dies with the
+        // same completion tick, so the minimum is usually
+        // carried by many dies and a short forward probe from
+        // the cursor finds it in a step or two. Probe a bounded
+        // window first; a sparse minimum falls back to the
+        // per-die candidate descent. Both compute the same
+        // position, so the choice is byte-identical either way.
+        bool found = false;
+        std::uint64_t probe = rrCursor;
+        for (std::uint32_t k = 0; k < kMinProbeWindow; ++k) {
+            if (dieLoad[orderDie[probe]] == min_load) {
+                idx = probe;
+                found = true;
+                break;
+            }
+            if (++probe == n)
+                probe = 0;
+        }
+        if (!found) {
+            // Unwrapped positions (pos, or pos + n once
+            // wrapped) are all >= rrCursor, so their plain min
+            // is the rotated min.
+            std::uint64_t first_pos = 2 * n;
+            auto consider = [&](std::uint32_t d) {
+                if (dieLoad[d] != min_load)
+                    return;
+                const auto &pos = diePositions[d];
+                const auto it = std::lower_bound(
+                    pos.begin(), pos.end(), rrCursor);
+                const std::uint64_t cand =
+                    it != pos.end() ? *it : pos.front() + n;
+                first_pos = std::min(first_pos, cand);
+            };
             if (dieGroupLoad) {
-                min_load = dieGroupLoad[0];
-                for (std::uint32_t g = 1; g < dieGroupCount; ++g)
-                    min_load = std::min(min_load, dieGroupLoad[g]);
-            } else {
-                min_load = dieLoad[0];
-                for (std::uint32_t d = 1; d < dieCount; ++d)
-                    min_load = std::min(min_load, dieLoad[d]);
-            }
-            // The sought position is the first one at or after the
-            // cursor (wrapping) whose die carries min_load. GC
-            // bursts leave whole burst's worth of dies with the
-            // same completion tick, so the minimum is usually
-            // carried by many dies and a short forward probe from
-            // the cursor finds it in a step or two. Probe a bounded
-            // window first; a sparse minimum falls back to the
-            // per-die candidate descent. Both compute the same
-            // position, so the choice is byte-identical either way.
-            bool found = false;
-            std::uint64_t probe = rrCursor;
-            for (std::uint32_t k = 0; k < kMinProbeWindow; ++k) {
-                if (dieLoad[orderDie[probe]] == min_load) {
-                    idx = probe;
-                    found = true;
-                    break;
-                }
-                if (++probe == n)
-                    probe = 0;
-            }
-            if (!found) {
-                // Unwrapped positions (pos, or pos + n once
-                // wrapped) are all >= rrCursor, so their plain min
-                // is the rotated min.
-                std::uint64_t first_pos = 2 * n;
-                auto consider = [&](std::uint32_t d) {
-                    if (dieLoad[d] != min_load)
-                        return;
-                    const auto &pos = diePositions[d];
-                    const auto it = std::lower_bound(
-                        pos.begin(), pos.end(), rrCursor);
-                    const std::uint64_t cand =
-                        it != pos.end() ? *it : pos.front() + n;
-                    first_pos = std::min(first_pos, cand);
-                };
-                if (dieGroupLoad) {
-                    for (std::uint32_t g = 0; g < dieGroupCount;
-                         ++g) {
-                        if (dieGroupLoad[g] != min_load)
-                            continue;
-                        const std::uint32_t base = g * dieGroupSize;
-                        for (std::uint32_t d = base;
-                             d < base + dieGroupSize; ++d)
-                            consider(d);
-                    }
-                } else {
-                    for (std::uint32_t d = 0; d < dieCount; ++d)
+                for (std::uint32_t g = 0; g < dieGroupCount; ++g) {
+                    if (dieGroupLoad[g] != min_load)
+                        continue;
+                    const std::uint32_t base = g * dieGroupSize;
+                    for (std::uint32_t d = base;
+                         d < base + dieGroupSize; ++d)
                         consider(d);
                 }
-                idx = first_pos >= n ? first_pos - n : first_pos;
+            } else {
+                for (std::uint32_t d = 0; d < dieCount; ++d)
+                    consider(d);
             }
-            if (++rrCursor == n)
-                rrCursor = 0;
-            return planeOrder[idx];
-        }
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint64_t plane = planeOrder[idx];
-            if (++idx == n)
-                idx = 0;
-            const bool has_room = userRoom[plane];
-            if (best_has_room && !has_room)
-                continue;
-            const Tick load = dieLoad[planeDie[plane]];
-            if ((has_room && !best_has_room) || load < best_load) {
-                best = plane;
-                best_load = load;
-                best_has_room = has_room;
-            }
+            idx = first_pos >= n ? first_pos - n : first_pos;
         }
         if (++rrCursor == n)
             rrCursor = 0;
-        return best;
+        return planeOrder[idx];
     }
-
+    std::uint64_t best = planeOrder[rrCursor];
+    Tick best_load = kMaxTick;
+    bool best_has_room = false;
     for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t plane = planeOrder[(rrCursor + i) % n];
-        const bool has_room = !freeLists[plane].empty() ||
-                              (userActive[plane] != kNoBlock &&
-                               flash.blockHasRoom(userActive[plane])) ||
-                              (hotActive[plane] != kNoBlock &&
-                               flash.blockHasRoom(hotActive[plane]));
+        const std::uint64_t plane = planeOrder[idx];
+        if (++idx == n)
+            idx = 0;
+        const bool has_room = userRoom[plane];
         if (best_has_room && !has_room)
             continue;
-        const Tick load = loadProbe(plane);
+        const Tick load = dieLoad[planeDie[plane]];
         if ((has_room && !best_has_room) || load < best_load) {
             best = plane;
             best_load = load;
             best_has_room = has_room;
         }
     }
-    rrCursor = (rrCursor + 1) % n;
+    if (++rrCursor == n)
+        rrCursor = 0;
     return best;
-}
-
-void
-BlockManager::setLoadProbe(PlaneLoadProbe probe)
-{
-    loadProbe = std::move(probe);
 }
 
 void
@@ -274,7 +245,6 @@ BlockManager::setDieLoadView(const Tick *die_busy,
     zombie_assert(!die_busy || planes_per_die > 0,
                   "die-load view needs planes per die");
     dieLoad = die_busy;
-    dieLoadPlanesPerDie = planes_per_die;
     planeDie.resize(geom.totalPlanes());
     for (std::uint64_t p = 0; p < planeDie.size(); ++p)
         planeDie[p] = static_cast<std::uint32_t>(p / planes_per_die);
@@ -311,7 +281,7 @@ BlockManager::setDieLoadGroups(const Tick *group_min,
 std::uint64_t
 BlockManager::popFree(std::uint64_t plane, bool for_gc)
 {
-    bumpPlaneEpoch(plane);
+    reopenGcGate(plane);
     auto &stack = freeLists[plane];
     if (!stack.empty()) {
         const std::uint64_t block = stack.back();
@@ -381,7 +351,7 @@ BlockManager::releaseBlock(std::uint64_t block_index)
     const std::uint64_t plane = geom.planeOfBlock(block_index);
     zombie_assert(flash.writePtrOf(block_index) == 0,
                   "releasing a non-erased block ", block_index);
-    bumpPlaneEpoch(plane);
+    reopenGcGate(plane);
     if (userActive[plane] == block_index)
         userActive[plane] = kNoBlock;
     if (hotActive[plane] == block_index)

@@ -13,7 +13,6 @@
 #define ZOMBIE_FTL_BLOCK_MANAGER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "nand/flash_array.hh"
@@ -45,25 +44,19 @@ class BlockManager
     BlockManager(const BlockManager &) = delete;
     BlockManager &operator=(const BlockManager &) = delete;
 
-    /** Load probe: busy-until tick of the die owning a plane. */
-    using PlaneLoadProbe = std::function<Tick(std::uint64_t plane)>;
-
     /**
-     * Plane the next host write should land on. Without a probe this
-     * is channel-first round-robin; with one it is dynamic allocation
-     * (SSDSim [13]): the least-busy plane in round-robin order.
+     * Plane the next host write should land on. Without a die-load
+     * view this is channel-first round-robin; with one it is dynamic
+     * allocation (SSDSim [13]): the least-busy plane in round-robin
+     * order.
      */
     std::uint64_t nextUserPlane();
 
-    /** Install/remove the dynamic-allocation probe. */
-    void setLoadProbe(PlaneLoadProbe probe);
-
     /**
-     * Allocation-free fast path for dynamic allocation: read die
-     * busy-until ticks straight from @p die_busy (the resource
-     * model's table, one entry per die, never reallocated), where
-     * plane p belongs to die p / @p planes_per_die. Overrides any
-     * std::function probe; pass nullptr to remove.
+     * Install the dynamic-allocation load source: die busy-until
+     * ticks read straight from @p die_busy (the resource model's
+     * table, one entry per die, never reallocated), where plane p
+     * belongs to die p / @p planes_per_die. Pass nullptr to remove.
      */
     void setDieLoadView(const Tick *die_busy,
                         std::uint32_t planes_per_die);
@@ -125,13 +118,6 @@ class BlockManager
         return freeCounts;
     }
 
-    /** All plane epochs (see planeEpoch) for hot scan loops. */
-    const std::vector<std::uint64_t> &
-    planeEpochTable() const
-    {
-        return planeEpochs;
-    }
-
     /** Smallest free-stack depth across all planes. */
     std::uint32_t minFreeBlocks() const;
 
@@ -170,9 +156,9 @@ class BlockManager
 
     /**
      * Whether the victim gate on @p plane could answer differently
-     * than its last memoized refusal. Equivalent to the historical
-     * `planeEpoch(plane) != <epoch at last refusal>` check: the bit
-     * sets at every epoch bump and clears at markGcGateFailed().
+     * than its last memoized refusal. The bit sets at every change
+     * to the plane's GC-relevant state (reopenGcGate) and clears at
+     * markGcGateFailed().
      */
     bool
     gcGateOk(std::uint64_t plane) const
@@ -185,21 +171,6 @@ class BlockManager
     markGcGateFailed(std::uint64_t plane)
     {
         gateOkMask[plane >> 6] &= ~(1ULL << (plane & 63));
-    }
-
-    /**
-     * Version counter of @p plane's GC-relevant state. Bumped by
-     * every change to candidate membership or scores (the array's
-     * invalidate/revive/erase notifications), every free-stack pop
-     * and every block release, so a pure function of those inputs
-     * (the victim gate) can be memoized against it.
-     */
-    std::uint64_t
-    planeEpoch(std::uint64_t plane) const
-    {
-        zombie_assert(plane < planeEpochs.size(),
-                      "plane out of bounds");
-        return planeEpochs[plane];
     }
 
     /** Return an erased block to its plane's free stack. */
@@ -233,11 +204,16 @@ class BlockManager
     /** Recompute @p plane's watermark bits after a count change. */
     void refreshWaterBits(std::uint64_t plane);
 
-    /** Bump @p plane's epoch and reopen its victim gate. */
+    /**
+     * Reopen @p plane's victim gate. Called at every change to the
+     * plane's GC-relevant state: candidate membership or scores (the
+     * array's invalidate/revive/erase notifications), every
+     * free-stack pop and every block release, so the gate, a pure
+     * function of those inputs, can be memoized between them.
+     */
     void
-    bumpPlaneEpoch(std::uint64_t plane)
+    reopenGcGate(std::uint64_t plane)
     {
-        ++planeEpochs[plane];
         gateOkMask[plane >> 6] |= 1ULL << (plane & 63);
     }
 
@@ -256,11 +232,9 @@ class BlockManager
     std::vector<std::uint64_t> gcReserve;
     std::vector<std::uint64_t> planeOrder; //!< channel-first striping
     std::uint64_t rrCursor = 0;
-    PlaneLoadProbe loadProbe;
 
-    /** Raw die busy-until view (fast path; overrides loadProbe). */
+    /** Die busy-until view; null = round-robin allocation. */
     const Tick *dieLoad = nullptr;
-    std::uint32_t dieLoadPlanesPerDie = 1;
     std::uint32_t dieCount = 0;          //!< entries in dieLoad
 
     /**
@@ -298,9 +272,6 @@ class BlockManager
      */
     std::vector<std::uint32_t> freeCounts;
     std::vector<std::uint8_t> userRoom;
-
-    /** Per-plane GC-state version counters (see planeEpoch). */
-    std::vector<std::uint64_t> planeEpochs;
 
     /** Planes whose free stack is empty right now. */
     std::uint64_t zeroFreePlanes = 0;

@@ -55,12 +55,6 @@ Ftl::attachDedup(FingerprintStore *s)
 }
 
 void
-Ftl::setPlaneLoadProbe(BlockManager::PlaneLoadProbe probe)
-{
-    blockMgr.setLoadProbe(std::move(probe));
-}
-
-void
 Ftl::setDieLoadView(const Tick *die_busy, std::uint32_t planes_per_die)
 {
     blockMgr.setDieLoadView(die_busy, planes_per_die);

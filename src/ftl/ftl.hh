@@ -187,9 +187,6 @@ class Ftl
     void attachDedup(FingerprintStore *store);
 
     /** Enable dynamic write allocation (see BlockManager). */
-    void setPlaneLoadProbe(BlockManager::PlaneLoadProbe probe);
-
-    /** Allocation-free dynamic write allocation (see BlockManager). */
     void setDieLoadView(const Tick *die_busy,
                         std::uint32_t planes_per_die);
 

@@ -162,12 +162,6 @@ class FlashArray
         return blkInvalidCount[block_index];
     }
 
-    std::uint32_t
-    eraseCountOf(std::uint64_t block_index) const
-    {
-        return blkEraseCount[block_index];
-    }
-
     std::uint64_t
     garbagePopularityOf(std::uint64_t block_index) const
     {

@@ -241,6 +241,12 @@ SsdConfig::validate() const
         zombie_fatal("SsdConfig: prefillFraction out of [0,1]");
     if (gcPagesPerStep == 0)
         zombie_fatal("SsdConfig: gcPagesPerStep must be > 0");
+    if (usesDvp(system) && system != SystemKind::Ideal &&
+        mq.capacity == 0) {
+        zombie_fatal("SsdConfig: system ", toString(system),
+                     " needs a pool capacity > 0 (only ideal is "
+                     "unbounded)");
+    }
     if (queueDepth == 0)
         zombie_fatal("SsdConfig: queueDepth must be >= 1");
     if (queueDepth > 65536)

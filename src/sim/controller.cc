@@ -162,11 +162,6 @@ Controller::event(Tick now, EventKind kind, std::uint32_t ctx,
         tryDispatch(now);
         break;
       }
-      case EventKind::Admit:
-        // Explicit admission retry; the pipeline itself retries at
-        // each dispatch-done, so only external nudges schedule this.
-        tryDispatch(now);
-        break;
       case EventKind::DispatchDone: {
         const HostCommand cmd = inDispatch[ctx];
         inDispatch.release(ctx);

@@ -187,12 +187,6 @@ class Controller : public EventSink
     /** Tenant @p t's pipeline + admission observations. */
     TenantResult tenantResult(std::uint32_t t) const;
 
-    /** Tag budget (max concurrently held contexts) of tenant @p t. */
-    std::uint32_t tagBudgetOf(std::uint32_t t) const
-    {
-        return tagBudget[t];
-    }
-
     /** Commands submitted but not yet completed. */
     std::uint64_t outstanding() const { return submitted - completed; }
 

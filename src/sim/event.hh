@@ -65,7 +65,6 @@ namespace zombie
 enum class EventKind : std::uint8_t
 {
     HostArrival,  //!< A trace record reaches the host queue.
-    Admit,        //!< Retry admission from the host queue.
     DispatchDone, //!< FTL overhead elapsed; issue to flash.
     FlashDone,    //!< User-visible flash completion.
     GcTail,       //!< Background GC chain drains (bookkeeping only).
@@ -73,7 +72,7 @@ enum class EventKind : std::uint8_t
 };
 
 /** Number of EventKind values (dispatch-histogram table size). */
-inline constexpr std::uint32_t kNumEventKinds = 6;
+inline constexpr std::uint32_t kNumEventKinds = 5;
 
 /** Receiver of dispatched events (the controller, or a test). */
 class EventSink

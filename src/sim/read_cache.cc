@@ -1,112 +1,12 @@
 #include "sim/read_cache.hh"
 
-#include "util/logging.hh"
-
 namespace zombie
 {
 
-namespace
-{
-
-/** Fibonacci multiplier spreads sequential PPNs across the table. */
-constexpr std::uint64_t kHashMul = 0x9E3779B97F4A7C15ULL;
-
-} // namespace
-
 ReadCache::ReadCache(std::uint64_t capacity) : cap(capacity)
 {
-    if (!enabled())
-        return;
-    nodes.resize(cap);
-    freeNodes.reserve(cap);
-    for (std::uint64_t i = cap; i-- > 0;)
-        freeNodes.push_back(static_cast<std::uint32_t>(i));
-
-    // Power-of-two table at <= 50% load keeps probe chains short.
-    std::uint64_t table_size = 16;
-    while (table_size < cap * 2)
-        table_size *= 2;
-    table.assign(table_size, kNil);
-    mask = table_size - 1;
-    shift = 64;
-    for (std::uint64_t s = table_size; s > 1; s /= 2)
-        --shift;
-}
-
-std::uint64_t
-ReadCache::slotOf(Ppn ppn) const
-{
-    return (ppn * kHashMul) >> shift;
-}
-
-std::uint32_t
-ReadCache::findSlot(Ppn ppn) const
-{
-    std::uint64_t slot = slotOf(ppn);
-    while (table[slot] != kNil) {
-        if (nodes[table[slot]].ppn == ppn)
-            return static_cast<std::uint32_t>(slot);
-        slot = (slot + 1) & mask;
-    }
-    return kNil;
-}
-
-void
-ReadCache::tableInsert(Ppn ppn, std::uint32_t node)
-{
-    std::uint64_t slot = slotOf(ppn);
-    while (table[slot] != kNil)
-        slot = (slot + 1) & mask;
-    table[slot] = node;
-}
-
-void
-ReadCache::tableErase(std::uint32_t slot)
-{
-    // Backward-shift deletion: pull displaced entries of the probe
-    // chain back over the hole so lookups never need tombstones.
-    std::uint64_t hole = slot;
-    table[hole] = kNil;
-    std::uint64_t probe = hole;
-    while (true) {
-        probe = (probe + 1) & mask;
-        if (table[probe] == kNil)
-            return;
-        const std::uint64_t home = slotOf(nodes[table[probe]].ppn);
-        if (((probe - home) & mask) >= ((probe - hole) & mask)) {
-            table[hole] = table[probe];
-            table[probe] = kNil;
-            hole = probe;
-        }
-    }
-}
-
-void
-ReadCache::listDetach(std::uint32_t node)
-{
-    Node &n = nodes[node];
-    if (n.prev != kNil)
-        nodes[n.prev].next = n.next;
-    else
-        head = n.next;
-    if (n.next != kNil)
-        nodes[n.next].prev = n.prev;
-    else
-        tail = n.prev;
-    n.prev = n.next = kNil;
-}
-
-void
-ReadCache::listPushBack(std::uint32_t node)
-{
-    Node &n = nodes[node];
-    n.prev = tail;
-    n.next = kNil;
-    if (tail != kNil)
-        nodes[tail].next = node;
-    else
-        head = node;
-    tail = node;
+    pages.reserve(cap);
+    index.reserve(cap);
 }
 
 bool
@@ -115,31 +15,26 @@ ReadCache::access(Ppn ppn)
     if (!enabled())
         return false;
 
-    const std::uint32_t slot = findSlot(ppn);
-    if (slot != kNil) {
+    const auto it = index.find(ppn);
+    if (it != index.end()) {
         ++cstats.hits;
-        const std::uint32_t node = table[slot];
-        listDetach(node);
-        listPushBack(node);
+        pages.moveToBack(lru, it->second);
         return true;
     }
 
     ++cstats.misses;
-    std::uint32_t node;
-    if (used >= cap) {
-        // Evict the LRU entry and recycle its node in place.
-        node = head;
-        zombie_assert(node != kNil, "full cache with no LRU entry");
-        listDetach(node);
-        tableErase(findSlot(nodes[node].ppn));
+    std::uint32_t slot;
+    if (lru.count >= cap) {
+        // Evict the LRU page and recycle its slot in place.
+        slot = lru.head;
+        pages.unlink(lru, slot);
+        index.erase(pages[slot]);
     } else {
-        node = freeNodes.back();
-        freeNodes.pop_back();
-        ++used;
+        slot = pages.acquire();
     }
-    nodes[node].ppn = ppn;
-    listPushBack(node);
-    tableInsert(ppn, node);
+    pages[slot] = ppn;
+    pages.pushBack(lru, slot);
+    index[ppn] = slot;
     return false;
 }
 
@@ -148,15 +43,14 @@ ReadCache::invalidate(Ppn ppn)
 {
     if (!enabled())
         return;
-    const std::uint32_t slot = findSlot(ppn);
-    if (slot == kNil)
+    const auto it = index.find(ppn);
+    if (it == index.end())
         return;
     ++cstats.invalidations;
-    const std::uint32_t node = table[slot];
-    tableErase(slot);
-    listDetach(node);
-    freeNodes.push_back(node);
-    --used;
+    const std::uint32_t slot = it->second;
+    index.erase(it);
+    pages.unlink(lru, slot);
+    pages.release(slot);
 }
 
 void
@@ -166,7 +60,7 @@ ReadCache::registerStats(StatRegistry &registry) const
     registry.addCounter("cache.misses", &cstats.misses);
     registry.addCounter("cache.invalidations", &cstats.invalidations);
     registry.addGauge("cache.occupancy", [this] {
-        return static_cast<double>(used);
+        return static_cast<double>(size());
     });
 }
 

@@ -10,23 +10,23 @@
  * flash pages are immutable (no write-in-place), so an entry only
  * needs invalidating when its page is reprogrammed after an erase.
  *
- * Exact LRU over flat storage: an intrusive doubly-linked list
- * threaded through a fixed node array, indexed by an open-addressed
- * (linear probe, backward-shift delete) hash table. Everything is
- * sized at construction, so the per-access path — on the controller
- * hot loop for every read and every program — never touches the
- * heap. Hit/miss/eviction order is identical to the classic
- * list+map formulation: it depends only on the access sequence,
- * never on hash layout.
+ * Exact LRU on the shared containers: one recency chain through an
+ * LruSlab of PPNs (util/intrusive_lru.hh), indexed by a FlatMap from
+ * PPN to slot (util/flat_map.hh). Both are sized for a full cache at
+ * construction, so the per-access path — on the controller hot loop
+ * for every read and every program — never touches the heap.
+ * Hit/miss/eviction order depends only on the access sequence, never
+ * on hash layout.
  */
 
 #ifndef ZOMBIE_SIM_READ_CACHE_HH
 #define ZOMBIE_SIM_READ_CACHE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "telemetry/stat_registry.hh"
+#include "util/flat_map.hh"
+#include "util/intrusive_lru.hh"
 #include "util/types.hh"
 
 namespace zombie
@@ -68,7 +68,7 @@ class ReadCache
     /** Drop @p ppn (its flash page was reprogrammed). */
     void invalidate(Ppn ppn);
 
-    std::uint64_t size() const { return used; }
+    std::uint64_t size() const { return lru.count; }
     std::uint64_t capacity() const { return cap; }
     const ReadCacheStats &stats() const { return cstats; }
 
@@ -80,39 +80,26 @@ class ReadCache
     void registerStats(StatRegistry &registry) const;
 
   private:
-    static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
-    /** One cache entry; list links are node-array indices. */
-    struct Node
+    /**
+     * Fibonacci hashing: one multiply spreads sequential PPNs, and
+     * the shift brings the product's well-mixed high bits down to
+     * the low bits FlatMap masks. On this per-access path it is
+     * cheaper than FlatMap's default two-multiply mixer.
+     */
+    struct PpnHash
     {
-        Ppn ppn = 0;
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
+        std::size_t
+        operator()(Ppn ppn) const
+        {
+            return static_cast<std::size_t>(
+                (ppn * 0x9E3779B97F4A7C15ULL) >> 32);
+        }
     };
 
-    std::uint64_t slotOf(Ppn ppn) const;
-
-    /** Table slot holding @p ppn, or kNil. */
-    std::uint32_t findSlot(Ppn ppn) const;
-
-    void tableInsert(Ppn ppn, std::uint32_t node);
-    void tableErase(std::uint32_t slot);
-
-    void listDetach(std::uint32_t node);
-    void listPushBack(std::uint32_t node);
-
     std::uint64_t cap;
-    std::uint64_t used = 0;
-
-    std::vector<Node> nodes;              //!< cap entries
-    std::vector<std::uint32_t> freeNodes; //!< unused node indices
-    std::uint32_t head = kNil;            //!< LRU victim
-    std::uint32_t tail = kNil;            //!< most recently used
-
-    std::vector<std::uint32_t> table; //!< slot -> node index or kNil
-    std::uint64_t mask = 0;
-    unsigned shift = 0;
-
+    LruSlab<Ppn> pages; //!< one slot per cached page
+    LruChain lru;       //!< head = LRU victim
+    FlatMap<Ppn, std::uint32_t, PpnHash> index; //!< PPN -> slot
     ReadCacheStats cstats;
 };
 

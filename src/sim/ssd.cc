@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "dvp/lru_dvp.hh"
 #include "dvp/lx_dvp.hh"
 #include "dvp/mq_dvp.hh"
 #include "dvp/partitioned_dvp.hh"
@@ -141,11 +140,13 @@ makeSinglePool(const SsdConfig &cfg, std::uint64_t entries)
         return std::make_unique<MqDvp>(mq);
       }
       case SystemKind::LruDvp:
-        return std::make_unique<LruDvp>(entries);
+        return std::make_unique<MqDvp>(
+            MqDvpConfig{.capacity = entries, .numQueues = 1});
       case SystemKind::LxSsd:
         return std::make_unique<LxDvp>(entries);
       case SystemKind::Ideal:
-        return std::make_unique<InfiniteDvp>();
+        return std::make_unique<MqDvp>(
+            MqDvpConfig{.capacity = 0, .numQueues = 1});
       default:
         return nullptr;
     }
@@ -204,9 +205,8 @@ Ssd::Ssd(SsdConfig config)
     if (store)
         ftl_.attachDedup(store.get());
 
-    // Dynamic write allocation: steer host writes toward idle dies.
-    // The raw busy-until view avoids a std::function probe call per
-    // plane per write; it reads the same table dieFreeAtIndex serves.
+    // Dynamic write allocation: steer host writes toward idle dies,
+    // read from the same busy-until table dieFreeAtIndex serves.
     ftl_.setDieLoadView(resources.dieBusyTable(),
                         cfg.geom.planesPerDie());
     // Group-min accelerator over the same table: the least-busy scan

@@ -158,7 +158,6 @@ class Ssd
     const Controller &pipeline() const { return controller_; }
     const EventEngine &events() const { return engine; }
     DeadValuePool *dvp() { return pool.get(); }
-    FingerprintStore *dedupStore() { return store.get(); }
 
     /** Every component's statistics under one dotted namespace. */
     const StatRegistry &statRegistry() const { return registry_; }

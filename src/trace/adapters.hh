@@ -34,7 +34,6 @@
 #include <memory>
 #include <string>
 
-#include "hash/hasher.hh"
 #include "trace/formats.hh"
 #include "trace/source.hh"
 #include "trace/summary.hh"

@@ -7,7 +7,6 @@ namespace zombie
 
 SyntheticTraceGenerator::SyntheticTraceGenerator(WorkloadProfile profile)
     : prof(std::move(profile)),
-      hasher(prof.hashAlgo),
       rng(prof.seed),
       valueZipf(prof.popularPoolSize(), prof.valueAlpha),
       updateZipf(prof.footprintPages(), prof.updateLpnAlpha),
@@ -96,7 +95,7 @@ SyntheticTraceGenerator::emitWrite(TraceRecord &out)
     out.op = OpType::Write;
     out.lpn = coldPages + idx;
     out.valueId = vid;
-    out.fp = hasher.hashValueId(vid);
+    out.fp = Fingerprint::fromValueId(vid);
 }
 
 void
@@ -125,7 +124,7 @@ SyntheticTraceGenerator::emitRead(TraceRecord &out)
     out.op = OpType::Read;
     out.lpn = lpn;
     out.valueId = vid;
-    out.fp = hasher.hashValueId(vid);
+    out.fp = Fingerprint::fromValueId(vid);
 }
 
 bool

@@ -22,7 +22,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "hash/hasher.hh"
 #include "trace/profile.hh"
 #include "trace/record.hh"
 #include "trace/source.hh"
@@ -43,15 +42,6 @@ struct GeneratorStats
     std::uint64_t freshValueWrites = 0;
     std::uint64_t distinctPoolValuesWritten = 0;
     std::uint64_t distinctValuesRead = 0;
-
-    double
-    measuredWriteRatio() const
-    {
-        const auto total = reads + writes;
-        return total ? static_cast<double>(writes) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
 
     /** Table II "Unique Value WR" column equivalent. */
     double
@@ -117,7 +107,6 @@ class SyntheticTraceGenerator : public TraceSource
     std::uint64_t pickValue(bool updating, std::uint64_t current_vid);
 
     WorkloadProfile prof;
-    ContentHasher hasher;
     Xoshiro256 rng;
     ZipfDistribution valueZipf;
     ZipfDistribution updateZipf;

@@ -45,12 +45,10 @@ MultiTenantTraceGenerator::MultiTenantTraceGenerator(
     }
     const auto n = static_cast<std::uint32_t>(profiles.size());
     gens.reserve(n);
-    salters.reserve(n);
     bases.reserve(n);
     sizes.reserve(n);
     Lpn base = 0;
     for (std::uint32_t t = 0; t < n; ++t) {
-        salters.emplace_back(profiles[t].hashAlgo);
         gens.emplace_back(std::move(profiles[t]));
         bases.push_back(base);
         sizes.push_back(gens.back().profile().totalLpnSpace());
@@ -74,7 +72,7 @@ MultiTenantTraceGenerator::refill(std::uint32_t t)
         // Salted ids live in a tenant-private region; the fingerprint
         // must follow so content engines see them as distinct values.
         rec.valueId = saltValueId(t, rec.valueId);
-        rec.fp = salters[t].hashValueId(rec.valueId);
+        rec.fp = Fingerprint::fromValueId(rec.valueId);
     }
     heads[t] = rec;
     return true;

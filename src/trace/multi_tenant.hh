@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "hash/hasher.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 #include "trace/record.hh"
@@ -112,7 +111,6 @@ class MultiTenantTraceGenerator : public TraceSource
     bool refill(std::uint32_t t);
 
     std::vector<SyntheticTraceGenerator> gens;
-    std::vector<ContentHasher> salters;
     std::vector<Lpn> bases;
     std::vector<std::uint64_t> sizes;
     std::vector<TraceRecord> heads;

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "hash/hasher.hh"
 #include "util/types.hh"
 
 namespace zombie
@@ -112,9 +111,6 @@ struct WorkloadProfile
     double burstProb = 0.005;
     std::uint64_t burstLength = 32;
     double burstInterarrivalUs = 1.0;
-
-    /** Digest used for fingerprints. */
-    HashAlgo hashAlgo = HashAlgo::Synthetic;
 
     /**
      * Calibrated preset for a Table II workload. @p day perturbs the

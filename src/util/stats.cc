@@ -10,55 +10,6 @@
 namespace zombie
 {
 
-void
-RunningStat::record(double x)
-{
-    if (n == 0) {
-        lo = hi = x;
-    } else {
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-    }
-    ++n;
-    total += x;
-    const double delta = x - mu;
-    mu += delta / static_cast<double>(n);
-    m2 += delta * (x - mu);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n);
-    const double nb = static_cast<double>(other.n);
-    const double delta = other.mu - mu;
-    const double combined = na + nb;
-    mu += delta * nb / combined;
-    m2 += other.m2 + delta * delta * na * nb / combined;
-    lo = std::min(lo, other.lo);
-    hi = std::max(hi, other.hi);
-    total += other.total;
-    n += other.n;
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 LatencyHistogram::LatencyHistogram() : counts(kBuckets, 0) {}
 
 int
@@ -187,19 +138,6 @@ thinCdf(const std::vector<CdfPoint> &cdf, std::size_t max_points)
         out.push_back(cdf[std::min(idx, cdf.size() - 1)]);
     }
     return out;
-}
-
-double
-percentileOfSorted(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo_idx = static_cast<std::size_t>(pos);
-    const std::size_t hi_idx = std::min(lo_idx + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo_idx);
-    return sorted[lo_idx] * (1.0 - frac) + sorted[hi_idx] * frac;
 }
 
 void

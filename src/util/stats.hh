@@ -4,9 +4,8 @@
  *
  * The paper reports mean and tail (99th percentile) latencies as well as
  * CDFs of per-value counters. LatencyHistogram gives O(1) recording and
- * approximate (sub-1%) percentiles over arbitrary tick ranges;
- * RunningStat gives exact mean/variance; Cdf builds plot-ready CDF
- * series for the Figure 2/3 style outputs.
+ * approximate (sub-1%) percentiles over arbitrary tick ranges; Cdf
+ * builds plot-ready CDF series for the Figure 2/3 style outputs.
  */
 
 #ifndef ZOMBIE_UTIL_STATS_HH
@@ -19,31 +18,6 @@
 
 namespace zombie
 {
-
-/** Exact running mean / variance / min / max (Welford's algorithm). */
-class RunningStat
-{
-  public:
-    void record(double x);
-    void merge(const RunningStat &other);
-    void reset();
-
-    std::uint64_t count() const { return n; }
-    double mean() const { return n ? mu : 0.0; }
-    double variance() const { return n > 1 ? m2 / (double)(n - 1) : 0.0; }
-    double stddev() const;
-    double min() const { return n ? lo : 0.0; }
-    double max() const { return n ? hi : 0.0; }
-    double sum() const { return total; }
-
-  private:
-    std::uint64_t n = 0;
-    double mu = 0.0;
-    double m2 = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-    double total = 0.0;
-};
 
 /**
  * HDR-style log-bucketed histogram over non-negative 64-bit samples.
@@ -101,9 +75,6 @@ std::vector<CdfPoint> buildCdf(std::vector<double> samples);
  */
 std::vector<CdfPoint> thinCdf(const std::vector<CdfPoint> &cdf,
                               std::size_t max_points);
-
-/** Exact percentile of an already-sorted sample vector. */
-double percentileOfSorted(const std::vector<double> &sorted, double q);
 
 /**
  * Flat name -> value registry a component exposes for dumping. Values

@@ -7,7 +7,6 @@
 
 #include "analysis/lifecycle.hh"
 #include "analysis/reuse.hh"
-#include "dvp/lru_dvp.hh"
 #include "dvp/mq_dvp.hh"
 #include "trace/generator.hh"
 
@@ -15,6 +14,14 @@ namespace zombie
 {
 namespace
 {
+
+/** An LRU pool: the MQ pool with one queue. */
+std::unique_ptr<DeadValuePool>
+lruPool(std::uint64_t capacity)
+{
+    return std::make_unique<MqDvp>(
+        MqDvpConfig{.capacity = capacity, .numQueues = 1});
+}
 
 TraceRecord
 wr(Lpn lpn, std::uint64_t vid)
@@ -29,7 +36,7 @@ wr(Lpn lpn, std::uint64_t vid)
 
 TEST(ReuseAnalyzer, SimpleDeathAndRebirthIsReused)
 {
-    ReuseAnalyzer a(std::make_unique<LruDvp>(100));
+    ReuseAnalyzer a(lruPool(100));
     a.observe(wr(0, 1));
     a.observe(wr(0, 2)); // value 1 dies -> buffered
     a.observe(wr(1, 1)); // rebirth: reused
@@ -44,7 +51,7 @@ TEST(ReuseAnalyzer, CapacityMissCountedAgainstInfinite)
 {
     // Buffer of 1 entry: value 1's garbage is evicted by value 2's
     // before its rebirth arrives; the infinite buffer would have hit.
-    ReuseAnalyzer a(std::make_unique<LruDvp>(1));
+    ReuseAnalyzer a(lruPool(1));
     a.observe(wr(0, 1));
     a.observe(wr(0, 2)); // 1 dies, buffered
     a.observe(wr(1, 2)); // extra copy of 2
@@ -57,7 +64,7 @@ TEST(ReuseAnalyzer, CapacityMissCountedAgainstInfinite)
 
 TEST(ReuseAnalyzer, ReadsDoNotAffectCounting)
 {
-    ReuseAnalyzer a(std::make_unique<LruDvp>(10));
+    ReuseAnalyzer a(lruPool(10));
     TraceRecord read = wr(0, 1);
     a.observe(wr(0, 1));
     read.op = OpType::Read;
@@ -67,7 +74,7 @@ TEST(ReuseAnalyzer, ReadsDoNotAffectCounting)
 
 TEST(ReuseAnalyzer, MissBreakdownBinsByPopularityDegree)
 {
-    ReuseAnalyzer a(std::make_unique<LruDvp>(1));
+    ReuseAnalyzer a(lruPool(1));
     // Value 1 written 3 times, values 2..4 once each.
     a.observe(wr(0, 1));
     a.observe(wr(1, 2));
@@ -144,7 +151,7 @@ TEST(ReuseAnalyzer, PopularValuesSufferMostLruMisses)
         WorkloadProfile::preset(Workload::Mail, 1, 60'000, 9);
     const auto trace = SyntheticTraceGenerator(profile).generateAll();
 
-    ReuseAnalyzer a(std::make_unique<LruDvp>(400));
+    ReuseAnalyzer a(lruPool(400));
     a.observeAll(trace);
     const auto bins = a.missBreakdown();
     ASSERT_GT(bins.size(), 3u);

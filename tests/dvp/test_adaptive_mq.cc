@@ -138,5 +138,14 @@ TEST(AdaptiveMqDeath, BadBoundsAreFatal)
                 "window");
 }
 
+TEST(AdaptiveMqDeath, ZeroCapacityIsFatal)
+{
+    // Capacity 0 means unbounded, which leaves nothing to adapt.
+    MqDvpConfig cfg = adaptiveConfig();
+    cfg.capacity = 0;
+    EXPECT_EXIT({ MqDvp pool(cfg); }, testing::ExitedWithCode(1),
+                "capacity");
+}
+
 } // namespace
 } // namespace zombie

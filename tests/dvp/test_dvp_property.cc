@@ -14,7 +14,6 @@
 #include <set>
 #include <string>
 
-#include "dvp/lru_dvp.hh"
 #include "dvp/lx_dvp.hh"
 #include "dvp/mq_dvp.hh"
 #include "util/random.hh"
@@ -61,11 +60,19 @@ allPools()
              return std::make_unique<MqDvp>(cfg);
          },
          true, true},
-        {"lru", [] { return std::make_unique<LruDvp>(64); }, true,
-         true},
+        {"lru",
+         [] {
+             return std::make_unique<MqDvp>(
+                 MqDvpConfig{.capacity = 64, .numQueues = 1});
+         },
+         true, true},
         {"lx", [] { return std::make_unique<LxDvp>(64); }, true,
          false},
-        {"infinite", [] { return std::make_unique<InfiniteDvp>(); },
+        {"infinite",
+         [] {
+             return std::make_unique<MqDvp>(
+                 MqDvpConfig{.capacity = 0, .numQueues = 1});
+         },
          false, true},
     };
 }

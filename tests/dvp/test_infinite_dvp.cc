@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the unbounded "Ideal" dead-value pool.
+ * Tests for the unbounded "Ideal" dead-value pool: the MQ pool with
+ * one queue and capacity 0.
  */
 
 #include <gtest/gtest.h>
 
-#include "dvp/lru_dvp.hh"
+#include "dvp/mq_dvp.hh"
 
 namespace zombie
 {
@@ -18,9 +19,12 @@ fp(std::uint64_t id)
     return Fingerprint::fromValueId(id);
 }
 
+/** The Ideal system's pool configuration. */
+const MqDvpConfig kIdeal{.capacity = 0, .numQueues = 1};
+
 TEST(InfiniteDvp, NeverEvicts)
 {
-    InfiniteDvp pool;
+    MqDvp pool(kIdeal);
     for (std::uint64_t v = 0; v < 50000; ++v)
         pool.insertGarbage(fp(v), v, v, 1);
     EXPECT_EQ(pool.size(), 50000u);
@@ -31,14 +35,14 @@ TEST(InfiniteDvp, NeverEvicts)
 
 TEST(InfiniteDvp, CapacityReportsUnbounded)
 {
-    InfiniteDvp pool;
+    MqDvp pool(kIdeal);
     EXPECT_EQ(pool.capacity(), 0u);
     EXPECT_EQ(pool.name(), "infinite");
 }
 
 TEST(InfiniteDvp, HitConsumesOneCopy)
 {
-    InfiniteDvp pool;
+    MqDvp pool(kIdeal);
     pool.insertGarbage(fp(1), 0, 10, 1);
     pool.insertGarbage(fp(1), 1, 11, 1);
     EXPECT_TRUE(pool.lookupForWrite(fp(1), 0).hit);
@@ -48,7 +52,7 @@ TEST(InfiniteDvp, HitConsumesOneCopy)
 
 TEST(InfiniteDvp, OnEraseRemovesSpecificCopy)
 {
-    InfiniteDvp pool;
+    MqDvp pool(kIdeal);
     pool.insertGarbage(fp(1), 0, 10, 1);
     pool.insertGarbage(fp(1), 1, 11, 1);
     pool.onErase(10);
@@ -60,7 +64,7 @@ TEST(InfiniteDvp, OnEraseRemovesSpecificCopy)
 
 TEST(InfiniteDvp, OnEraseLastCopyDropsEntry)
 {
-    InfiniteDvp pool;
+    MqDvp pool(kIdeal);
     pool.insertGarbage(fp(1), 0, 10, 1);
     pool.onErase(10);
     EXPECT_EQ(pool.size(), 0u);
@@ -69,7 +73,7 @@ TEST(InfiniteDvp, OnEraseLastCopyDropsEntry)
 
 TEST(InfiniteDvp, PopularityAccumulates)
 {
-    InfiniteDvp pool;
+    MqDvp pool(kIdeal);
     pool.insertGarbage(fp(1), 0, 10, 4);
     pool.insertGarbage(fp(1), 1, 11, 6);
     EXPECT_EQ(pool.lookupForWrite(fp(1), 0).popularity, 7);

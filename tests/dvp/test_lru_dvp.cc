@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the single-queue LRU dead-value pool (Figures 5/6).
+ * Tests for the LRU dead-value pool of Figures 5/6: the MQ pool with
+ * one queue. The zero-capacity rejection is SsdConfig::validate()'s
+ * (tests/sim/test_config.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include "dvp/lru_dvp.hh"
+#include "dvp/mq_dvp.hh"
 
 namespace zombie
 {
@@ -18,15 +20,22 @@ fp(std::uint64_t id)
     return Fingerprint::fromValueId(id);
 }
 
+/** The LRU system's pool configuration. */
+MqDvpConfig
+lru(std::uint64_t capacity)
+{
+    return MqDvpConfig{.capacity = capacity, .numQueues = 1};
+}
+
 TEST(LruDvp, MissOnEmpty)
 {
-    LruDvp pool(4);
+    MqDvp pool(lru(4));
     EXPECT_FALSE(pool.lookupForWrite(fp(1), 0).hit);
 }
 
 TEST(LruDvp, InsertHitRemove)
 {
-    LruDvp pool(4);
+    MqDvp pool(lru(4));
     pool.insertGarbage(fp(1), 0, 42, 1);
     const auto r = pool.lookupForWrite(fp(1), 0);
     EXPECT_TRUE(r.hit);
@@ -36,7 +45,7 @@ TEST(LruDvp, InsertHitRemove)
 
 TEST(LruDvp, EvictsLeastRecentlyUsed)
 {
-    LruDvp pool(2);
+    MqDvp pool(lru(2));
     pool.insertGarbage(fp(1), 0, 1, 1);
     pool.insertGarbage(fp(2), 0, 2, 1);
     pool.insertGarbage(fp(3), 0, 3, 1); // evicts fp(1)
@@ -47,7 +56,7 @@ TEST(LruDvp, EvictsLeastRecentlyUsed)
 
 TEST(LruDvp, ReinsertionRefreshesRecency)
 {
-    LruDvp pool(2);
+    MqDvp pool(lru(2));
     pool.insertGarbage(fp(1), 0, 1, 1);
     pool.insertGarbage(fp(2), 0, 2, 1);
     pool.insertGarbage(fp(1), 1, 3, 1); // fp(1) now MRU (2 PPNs)
@@ -60,7 +69,7 @@ TEST(LruDvp, PopularityIsIgnoredForReplacement)
 {
     // The Figure 6 pathology: a popular value still evicts first if
     // it is least recent.
-    LruDvp pool(2);
+    MqDvp pool(lru(2));
     pool.insertGarbage(fp(1), 0, 1, 200); // very popular, oldest
     pool.insertGarbage(fp(2), 0, 2, 1);
     pool.insertGarbage(fp(3), 0, 3, 1); // evicts popular fp(1)
@@ -69,7 +78,7 @@ TEST(LruDvp, PopularityIsIgnoredForReplacement)
 
 TEST(LruDvp, MultiplePpnsPerValue)
 {
-    LruDvp pool(4);
+    MqDvp pool(lru(4));
     pool.insertGarbage(fp(1), 0, 10, 1);
     pool.insertGarbage(fp(1), 1, 11, 1);
     EXPECT_EQ(pool.size(), 1u);
@@ -80,7 +89,7 @@ TEST(LruDvp, MultiplePpnsPerValue)
 
 TEST(LruDvp, OnEraseRemovesPpn)
 {
-    LruDvp pool(4);
+    MqDvp pool(lru(4));
     pool.insertGarbage(fp(1), 0, 10, 1);
     pool.insertGarbage(fp(1), 1, 11, 1);
     pool.onErase(11);
@@ -91,7 +100,7 @@ TEST(LruDvp, OnEraseRemovesPpn)
 
 TEST(LruDvp, EvictionDropsAllPpnsOfEntry)
 {
-    LruDvp pool(1);
+    MqDvp pool(lru(1));
     pool.insertGarbage(fp(1), 0, 10, 1);
     pool.insertGarbage(fp(1), 1, 11, 1);
     pool.insertGarbage(fp(2), 0, 20, 1); // evicts fp(1) entirely
@@ -104,15 +113,9 @@ TEST(LruDvp, EvictionDropsAllPpnsOfEntry)
 
 TEST(LruDvp, NameAndCapacity)
 {
-    LruDvp pool(7);
+    MqDvp pool(lru(7));
     EXPECT_EQ(pool.name(), "lru");
     EXPECT_EQ(pool.capacity(), 7u);
-}
-
-TEST(LruDvpDeath, ZeroCapacityIsFatal)
-{
-    EXPECT_EXIT({ LruDvp pool(0); }, testing::ExitedWithCode(1),
-                "capacity");
 }
 
 } // namespace

@@ -284,14 +284,6 @@ TEST(MqDvpDeath, ZeroQueuesIsFatal)
                 "at least one queue");
 }
 
-TEST(MqDvpDeath, ZeroCapacityIsFatal)
-{
-    MqDvpConfig cfg;
-    cfg.capacity = 0;
-    EXPECT_EXIT({ MqDvp pool(cfg); }, testing::ExitedWithCode(1),
-                "capacity");
-}
-
 TEST(MqDvp, StressManyValuesManyCopies)
 {
     MqDvp pool(smallConfig(1000, 8));

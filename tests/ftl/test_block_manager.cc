@@ -123,14 +123,17 @@ TEST(BlockManager, VictimCandidatesRequireFullBlocksWithGarbage)
     EXPECT_EQ(candidates[0], flash.geometry().blockOfPpn(first));
 }
 
+// The LoadProbe* cases drive dynamic allocation through a die-load
+// view, the load source Ssd installs: smallGeom has one plane per
+// die, so plane p reads die_busy[p].
+
 TEST(BlockManager, LoadProbeSteersTowardIdlePlanes)
 {
     FlashArray flash(smallGeom());
     BlockManager mgr(flash);
     // Plane 2 reports the lowest load.
-    mgr.setLoadProbe([](std::uint64_t plane) {
-        return plane == 2 ? Tick{0} : Tick{1000};
-    });
+    const Tick die_busy[] = {1000, 1000, 0, 1000};
+    mgr.setDieLoadView(die_busy, 1);
     EXPECT_EQ(mgr.nextUserPlane(), 2u);
     EXPECT_EQ(mgr.nextUserPlane(), 2u);
 }
@@ -139,7 +142,8 @@ TEST(BlockManager, LoadProbeTiesPreserveStriping)
 {
     FlashArray flash(smallGeom());
     BlockManager mgr(flash);
-    mgr.setLoadProbe([](std::uint64_t) { return Tick{5}; });
+    const Tick die_busy[] = {5, 5, 5, 5};
+    mgr.setDieLoadView(die_busy, 1);
     // All equal: falls back to strict less-than scan from the RR
     // cursor, which yields the channel-striped order.
     EXPECT_EQ(mgr.nextUserPlane(), 0u);
@@ -151,7 +155,8 @@ TEST(BlockManager, LoadProbeSkipsPlanesWithoutRoom)
 {
     FlashArray flash(smallGeom());
     BlockManager mgr(flash);
-    mgr.setLoadProbe([](std::uint64_t) { return Tick{0}; });
+    const Tick die_busy[] = {0, 0, 0, 0};
+    mgr.setDieLoadView(die_busy, 1);
     // Exhaust plane 0's user-visible blocks (3 of 4; one is the GC
     // reserve).
     for (int i = 0; i < 24; ++i)

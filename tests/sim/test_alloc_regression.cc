@@ -11,6 +11,17 @@
  * measurement covers the controller, FTL, GC, block manager and
  * resource model rather than pool-internal bookkeeping; the later
  * cells add the dead-value pool and the dedup store.
+ *
+ * Every cell drives Ssd::process plus drain: the whole replay is
+ * submitted before the drain, so the submit-time event reserve
+ * pre-sizes the event heap to the whole replay. The zero covers
+ * that loop only. The admission pump every program runs, Ssd::run,
+ * keeps arrivals within the in-flight window, and its event heap
+ * still grows when that window peaks higher: replaying the 12K mail
+ * Baseline cell of the depth tests three times through the pump, a
+ * probe measured 3 allocations in the third replay at depth 1 and 2
+ * at depth 32, all of them event-heap growth (DESIGN.md section
+ * 7.10, ROADMAP open items).
  */
 
 #include <gtest/gtest.h>

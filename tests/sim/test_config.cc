@@ -139,6 +139,31 @@ TEST(SsdConfigDeath, ValidateRejectsBadValues)
                 "over-provisioning");
 }
 
+// A bounded pool of 0 entries is a user error; only the Ideal
+// system's pool is unbounded.
+TEST(MqDvpDeath, ZeroCapacityIsFatal)
+{
+    SsdConfig cfg = SsdConfig::forFootprint(10'000, SystemKind::MqDvp);
+    cfg.mq.capacity = 0;
+    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                "capacity");
+}
+
+TEST(LruDvpDeath, ZeroCapacityIsFatal)
+{
+    SsdConfig cfg = SsdConfig::forFootprint(10'000, SystemKind::LruDvp);
+    cfg.mq.capacity = 0;
+    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                "capacity");
+}
+
+TEST(SsdConfig, IdealAcceptsZeroCapacity)
+{
+    SsdConfig cfg = SsdConfig::forFootprint(10'000, SystemKind::Ideal);
+    cfg.mq.capacity = 0;
+    cfg.validate();
+}
+
 TEST(SsdConfigDeath, EmptyFootprintIsFatal)
 {
     EXPECT_EXIT(

@@ -57,9 +57,9 @@ TEST(EventEngine, FiresInTickOrder)
     EventEngine engine;
     RecordingSink sink;
     engine.setSink(&sink);
-    engine.schedule(300, EventKind::Admit, 0, 3);
-    engine.schedule(100, EventKind::Admit, 0, 1);
-    engine.schedule(200, EventKind::Admit, 0, 2);
+    engine.schedule(300, EventKind::GcTail, 0, 3);
+    engine.schedule(100, EventKind::GcTail, 0, 1);
+    engine.schedule(200, EventKind::GcTail, 0, 2);
     engine.run();
     EXPECT_EQ(argsOf(sink), (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(engine.now(), 300u);
@@ -103,10 +103,10 @@ TEST(EventEngine, SinkMayScheduleAtCurrentTick)
     sink.hook = [&](Tick now, EventKind, std::uint32_t,
                     std::uint64_t arg) {
         if (arg == 0)
-            engine.schedule(now, EventKind::Admit, 0, 2);
+            engine.schedule(now, EventKind::GcTail, 0, 2);
     };
-    engine.schedule(10, EventKind::Admit, 0, 0);
-    engine.schedule(10, EventKind::Admit, 0, 1);
+    engine.schedule(10, EventKind::GcTail, 0, 0);
+    engine.schedule(10, EventKind::GcTail, 0, 1);
     engine.run();
     EXPECT_EQ(argsOf(sink), (std::vector<std::uint64_t>{0, 1, 2}));
 }
@@ -154,7 +154,7 @@ TEST(EventEngine, RunUntilExactBoundaryFiresTheBoundaryEvent)
     EventEngine engine;
     RecordingSink sink;
     engine.setSink(&sink);
-    engine.schedule(100, EventKind::Admit, 0, 0);
+    engine.schedule(100, EventKind::GcTail, 0, 0);
     engine.runUntil(99);
     EXPECT_EQ(sink.fired.size(), 0u);
     EXPECT_EQ(engine.now(), 99u);
@@ -182,9 +182,9 @@ TEST(EventEngineDeathTest, SchedulingInThePastPanics)
     EventEngine engine;
     RecordingSink sink;
     engine.setSink(&sink);
-    engine.schedule(100, EventKind::Admit, 0, 0);
+    engine.schedule(100, EventKind::GcTail, 0, 0);
     engine.run();
-    EXPECT_DEATH(engine.schedule(50, EventKind::Admit, 0, 0), "past");
+    EXPECT_DEATH(engine.schedule(50, EventKind::GcTail, 0, 0), "past");
 }
 
 TEST(EventEngine, IdenticalScheduleIsDeterministic)
@@ -214,7 +214,7 @@ TEST(EventEngine, ReserveDoesNotPerturbOrder)
     engine.setSink(&sink);
     engine.reserve(64);
     for (std::uint64_t i = 0; i < 16; ++i)
-        engine.schedule(5, EventKind::Admit, 0, i);
+        engine.schedule(5, EventKind::GcTail, 0, i);
     engine.run();
     std::vector<std::uint64_t> expect;
     for (std::uint64_t i = 0; i < 16; ++i)

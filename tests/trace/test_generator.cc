@@ -137,10 +137,9 @@ TEST(Generator, FingerprintDerivesFromValueId)
 {
     WorkloadProfile p = smallProfile();
     SyntheticTraceGenerator gen(p);
-    ContentHasher hasher(p.hashAlgo);
     TraceRecord rec;
     while (gen.next(rec))
-        ASSERT_EQ(rec.fp, hasher.hashValueId(rec.valueId));
+        ASSERT_EQ(rec.fp, Fingerprint::fromValueId(rec.valueId));
 }
 
 TEST(Generator, ReadsReturnCurrentContentOfLpn)

@@ -125,12 +125,11 @@ TEST(MultiTenantGenerator, SaltedFingerprintsMatchSaltedIds)
     const auto profiles =
         splitProfileAcrossTenants(baseProfile(1000), 2);
     MultiTenantTraceGenerator gen(profiles);
-    const ContentHasher hasher(profiles[1].hashAlgo);
     TraceRecord rec;
     while (gen.next(rec)) {
         if (rec.tenant == 1 &&
             rec.valueId != TraceRecord::kNoValueId)
-            ASSERT_EQ(rec.fp, hasher.hashValueId(rec.valueId));
+            ASSERT_EQ(rec.fp, Fingerprint::fromValueId(rec.valueId));
     }
 }
 
