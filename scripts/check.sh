@@ -37,6 +37,18 @@ for preset in $presets; do
     # diff. The micro_* benches (google-benchmark flags) and the
     # examples without an ArgParser take no options and are skipped.
     bindir="$(bindir_for "$preset")"
+
+    # The benchmark program builds its own optimized copy of the
+    # simulator libraries, and only benchmark/run.sh builds it
+    # otherwise. Compile it (without running it) so a src/ change
+    # that breaks it fails here, not at the next benchmark run.
+    if [ "$preset" = default ]; then
+        echo "==> build benchmark [$preset]"
+        cmake -S benchmark -B "$bindir/benchmark" \
+            -DCMAKE_BUILD_TYPE=Release
+        cmake --build "$bindir/benchmark" -j "$jobs"
+    fi
+
     echo "==> flag inventory [$preset]"
     for prog in "$bindir"/bench/* "$bindir"/examples/*; do
         [ -f "$prog" ] && [ -x "$prog" ] || continue

@@ -107,17 +107,6 @@ class BlockManager
     /** Whether any plane's free stack is empty (emergency GC). */
     bool anyPlaneOutOfFreeBlocks() const { return zeroFreePlanes > 0; }
 
-    /**
-     * Per-plane free-stack depths as one contiguous array, for hot
-     * loops (the GC pacing scan) that read every plane per host
-     * write and cannot afford a bounds-checked call per plane.
-     */
-    const std::vector<std::uint32_t> &
-    freeBlockCounts() const
-    {
-        return freeCounts;
-    }
-
     /** Smallest free-stack depth across all planes. */
     std::uint32_t minFreeBlocks() const;
 

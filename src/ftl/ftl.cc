@@ -12,12 +12,7 @@ Ftl::Ftl(FlashArray &flash_array, FtlConfig config)
     : array(flash_array), cfg(std::move(config)),
       map(cfg.logicalPages, array.geometry().totalPages()),
       blockMgr(array),
-      policy(cfg.wearTolerance > 0 &&
-                     cfg.gcPolicy.rfind("wear:", 0) != 0
-                 ? std::make_unique<WearAwareGcPolicy>(
-                       makeGcPolicy(cfg.gcPolicy, cfg.gcPopWeight),
-                       cfg.wearTolerance)
-                 : makeGcPolicy(cfg.gcPolicy, cfg.gcPopWeight)),
+      popWeight(gcPolicyWeight(cfg.gcPolicy, cfg.gcPopWeight)),
       gcJobs(array.geometry().totalPlanes()),
       gcActiveMask((array.geometry().totalPlanes() + 63) / 64, 0)
 {
@@ -381,7 +376,8 @@ Ftl::startGcJob(std::uint64_t plane)
         blockMgr.markGcGateFailed(plane);
         return false;
     }
-    const std::uint64_t victim = policy->selectVictim(array, candidates);
+    const std::uint64_t victim =
+        selectVictim(array, candidates, popWeight);
 
     // Thin garbage is not worth hundreds of relocations per erase;
     // above the mandatory watermark, wait for invalidations to

@@ -76,10 +76,9 @@ struct FtlConfig
     std::uint32_t gcPagesPerStep = 2;
 
     /**
-     * "greedy" or "popularity" (paper section IV-D); a "wear:"
-     * prefix names the wear-aware decorator explicitly (the ctor
-     * then skips its own wearTolerance wrap to avoid stacking two
-     * decorators).
+     * "greedy" or "popularity" (paper section IV-D; weighs garbage
+     * popularity at gcPopWeight). Both break near-ties toward
+     * less-worn victims (ftl/gc_policy.hh).
      */
     std::string gcPolicy = "greedy";
     double gcPopWeight = 1.0;
@@ -90,12 +89,6 @@ struct FtlConfig
      * collecting early. Waived at/below the mandatory watermark.
      */
     std::uint32_t gcMinInvalid = 192;
-
-    /**
-     * Wrap the victim policy in the wear-aware tie-breaking
-     * decorator (see ftl/wear.hh). Tolerance 0 disables it.
-     */
-    std::uint32_t wearTolerance = 8;
 
     /**
      * Hot/cold stream separation: updates of LPNs whose popularity
@@ -289,7 +282,8 @@ class Ftl
     FtlConfig cfg;
     MappingTable map;
     BlockManager blockMgr;
-    std::unique_ptr<GcPolicy> policy;
+    /** Victim-score weight of cfg.gcPolicy (gcPolicyWeight). */
+    double popWeight;
     DeadValuePool *pool = nullptr;
     FingerprintStore *store = nullptr;
 

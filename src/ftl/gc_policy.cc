@@ -1,83 +1,73 @@
 #include "ftl/gc_policy.hh"
 
-#include "ftl/wear.hh"
 #include "util/logging.hh"
 
 namespace zombie
 {
 
-std::uint64_t
-GreedyGcPolicy::selectVictim(
-    const FlashArray &flash,
-    const std::vector<std::uint64_t> &candidates) const
+double
+gcPolicyWeight(const std::string &name, double pop_weight)
 {
-    zombie_assert(!candidates.empty(), "victim selection with no "
-                                       "candidates");
-    // Gather straight from the SoA invalid-count array: the scoring
-    // loop touches one dense uint32 per candidate instead of a
-    // BlockInfo stride.
-    const std::uint32_t *invalid_counts = flash.invalidCounts();
-    std::uint64_t best = candidates.front();
-    std::uint32_t best_invalid = invalid_counts[best];
-    for (const std::uint64_t block : candidates) {
-        const std::uint32_t invalid = invalid_counts[block];
-        if (invalid > best_invalid) {
-            best = block;
-            best_invalid = invalid;
-        }
-    }
-    return best;
+    if (name == "greedy")
+        return 0.0;
+    if (name == "popularity")
+        return pop_weight;
+    zombie_fatal("unknown GC policy '", name,
+                 "' (expected greedy | popularity)");
 }
 
 double
-PopularityAwareGcPolicy::score(const FlashArray &flash,
-                               std::uint64_t block) const
+victimScore(const FlashArray &flash, std::uint64_t block,
+            double pop_weight)
 {
     // Normalize the popularity sum by the 1-byte counter range so a
     // fully popular garbage page cancels roughly `weight / 255` of a
     // reclaimable page.
     const double popularity_penalty =
-        weight *
+        pop_weight *
         static_cast<double>(flash.garbagePopularityOf(block)) / 255.0;
     return static_cast<double>(flash.invalidCountOf(block)) -
            popularity_penalty;
 }
 
 std::uint64_t
-PopularityAwareGcPolicy::selectVictim(
-    const FlashArray &flash,
-    const std::vector<std::uint64_t> &candidates) const
+selectVictim(const FlashArray &flash,
+             const std::vector<std::uint64_t> &candidates,
+             double pop_weight, std::uint32_t wear_tolerance)
 {
     zombie_assert(!candidates.empty(), "victim selection with no "
                                        "candidates");
     std::uint64_t best = candidates.front();
-    double best_score = score(flash, best);
+    double best_score = victimScore(flash, best, pop_weight);
     for (const std::uint64_t block : candidates) {
-        const double s = score(flash, block);
+        const double s = victimScore(flash, block, pop_weight);
         if (s > best_score) {
             best = block;
             best_score = s;
         }
     }
-    return best;
-}
+    if (wear_tolerance == 0)
+        return best;
 
-std::unique_ptr<GcPolicy>
-makeGcPolicy(const std::string &name, double pop_weight)
-{
-    if (name == "greedy")
-        return std::make_unique<GreedyGcPolicy>();
-    if (name == "popularity")
-        return std::make_unique<PopularityAwareGcPolicy>(pop_weight);
-    // "wear:<base>" wraps the base policy in the wear-aware
-    // tie-breaking decorator at its default tolerance.
-    if (name.rfind("wear:", 0) == 0) {
-        return std::make_unique<WearAwareGcPolicy>(
-            makeGcPolicy(name.substr(5), pop_weight));
+    // Treat candidates within the tolerance of the best victim's
+    // garbage as equivalent and pick the least-worn among them.
+    const std::uint32_t *invalid_counts = flash.invalidCounts();
+    const std::uint32_t *erase_counts = flash.eraseCounts();
+    const std::uint32_t best_invalid = invalid_counts[best];
+    std::uint64_t chosen = best;
+    std::uint32_t chosen_erases = erase_counts[best];
+    for (const std::uint64_t block : candidates) {
+        const std::uint32_t invalid = invalid_counts[block];
+        if (invalid + wear_tolerance < best_invalid ||
+            invalid > best_invalid + wear_tolerance) {
+            continue;
+        }
+        if (erase_counts[block] < chosen_erases) {
+            chosen = block;
+            chosen_erases = erase_counts[block];
+        }
     }
-    zombie_fatal("unknown GC policy '", name,
-                 "' (expected greedy | popularity | wear:greedy | "
-                 "wear:popularity)");
+    return chosen;
 }
 
 } // namespace zombie

@@ -1,19 +1,23 @@
 /**
  * @file
- * GC victim-selection policies.
+ * GC victim selection.
  *
- * GreedyGcPolicy is the conventional max-invalid-pages choice.
- * PopularityAwareGcPolicy implements the paper's section IV-D tuning:
- * the victim score discounts blocks whose garbage pages carry high
- * popularity degrees, so pages likely to be revived soon survive
- * longer in the dead-value pool.
+ * One selector serves every policy. A candidate's score is its
+ * invalid-page count minus a weighted, normalized sum of the
+ * popularity degrees of its garbage pages: the paper's section IV-D
+ * tuning, which lets pages likely to be revived soon survive longer
+ * in the dead-value pool. Weight 0 is the conventional greedy
+ * (max-invalid-pages) choice. Among candidates whose garbage is
+ * within a wear tolerance of the best-scoring block's, the least-worn
+ * wins, bounding the erase-count skew the score alone would build up
+ * on hot planes (the paper's FTL includes wear levelling, section
+ * IV-B).
  */
 
 #ifndef ZOMBIE_FTL_GC_POLICY_HH
 #define ZOMBIE_FTL_GC_POLICY_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,68 +26,30 @@
 namespace zombie
 {
 
-/** Strategy interface: pick a victim among candidate blocks. */
-class GcPolicy
-{
-  public:
-    virtual ~GcPolicy() = default;
-
-    virtual std::string name() const = 0;
-
-    /**
-     * @param candidates non-empty list of erasable block indices.
-     * @return the chosen victim block index.
-     */
-    virtual std::uint64_t
-    selectVictim(const FlashArray &flash,
-                 const std::vector<std::uint64_t> &candidates) const = 0;
-};
-
-/** Conventional greedy policy: most invalid pages wins. */
-class GreedyGcPolicy : public GcPolicy
-{
-  public:
-    std::string name() const override { return "greedy"; }
-
-    std::uint64_t
-    selectVictim(const FlashArray &flash,
-                 const std::vector<std::uint64_t> &candidates)
-        const override;
-};
+/** Garbage pages within which victims count as equally good. */
+inline constexpr std::uint32_t kWearTolerance = 8;
 
 /**
- * Popularity-aware policy (paper section IV-D): score each candidate
- * by invalid-page count minus a weighted, normalized sum of the
- * popularity degrees of its garbage pages; the highest score wins.
+ * Popularity weight of a named policy: "greedy" is 0, "popularity"
+ * is @p pop_weight. Any other name is fatal.
  */
-class PopularityAwareGcPolicy : public GcPolicy
-{
-  public:
-    explicit PopularityAwareGcPolicy(double pop_weight = 1.0)
-        : weight(pop_weight)
-    {
-    }
+double gcPolicyWeight(const std::string &name, double pop_weight);
 
-    std::string name() const override { return "popularity-aware"; }
+/** The victim score of @p block; higher is a better victim. */
+double victimScore(const FlashArray &flash, std::uint64_t block,
+                   double pop_weight);
 
-    double popWeight() const { return weight; }
-
-    /** The victim score; exposed for tests and the ablation bench. */
-    double score(const FlashArray &flash, std::uint64_t block) const;
-
-    std::uint64_t
-    selectVictim(const FlashArray &flash,
-                 const std::vector<std::uint64_t> &candidates)
-        const override;
-
-  private:
-    double weight;
-};
-
-/** Factory: "greedy", "popularity", or either behind the
- *  wear-aware decorator as "wear:greedy" / "wear:popularity". */
-std::unique_ptr<GcPolicy> makeGcPolicy(const std::string &name,
-                                       double pop_weight = 1.0);
+/**
+ * Pick the victim among @p candidates (non-empty, erasable block
+ * indices): the first highest victimScore(), unless a candidate
+ * whose invalid-page count is within @p wear_tolerance of that
+ * block's has fewer erases, in which case the least-worn such
+ * candidate. Tolerance 0 returns the best score unconditionally.
+ */
+std::uint64_t selectVictim(const FlashArray &flash,
+                           const std::vector<std::uint64_t> &candidates,
+                           double pop_weight,
+                           std::uint32_t wear_tolerance = kWearTolerance);
 
 } // namespace zombie
 

@@ -35,49 +35,4 @@ summarizeWear(const FlashArray &flash)
     return summary;
 }
 
-WearAwareGcPolicy::WearAwareGcPolicy(
-    std::unique_ptr<GcPolicy> base_policy, std::uint32_t tolerance)
-    : basePolicy(std::move(base_policy)), tol(tolerance)
-{
-    zombie_assert(basePolicy != nullptr,
-                  "wear-aware decorator needs a base policy");
-}
-
-std::string
-WearAwareGcPolicy::name() const
-{
-    return "wear-aware(" + basePolicy->name() + ")";
-}
-
-std::uint64_t
-WearAwareGcPolicy::selectVictim(
-    const FlashArray &flash,
-    const std::vector<std::uint64_t> &candidates) const
-{
-    const std::uint64_t preferred =
-        basePolicy->selectVictim(flash, candidates);
-    if (tol == 0)
-        return preferred;
-
-    // Treat candidates within `tol` garbage pages of the preferred
-    // victim as equivalent and pick the least-worn among them.
-    const std::uint32_t *invalid_counts = flash.invalidCounts();
-    const std::uint32_t *erase_counts = flash.eraseCounts();
-    const std::uint32_t best_invalid = invalid_counts[preferred];
-    std::uint64_t chosen = preferred;
-    std::uint32_t chosen_erases = erase_counts[preferred];
-    for (const std::uint64_t block : candidates) {
-        const std::uint32_t invalid = invalid_counts[block];
-        if (invalid + tol < best_invalid)
-            continue;
-        if (invalid > best_invalid + tol)
-            continue;
-        if (erase_counts[block] < chosen_erases) {
-            chosen = block;
-            chosen_erases = erase_counts[block];
-        }
-    }
-    return chosen;
-}
-
 } // namespace zombie

@@ -1,26 +1,21 @@
 /**
  * @file
- * Wear accounting and wear-aware victim selection.
+ * Wear accounting.
  *
  * The paper's FTL "is comprised of (i) a Mapping Unit ... and (ii)
  * the garbage collection and wear levelling" (section IV-B), and its
  * lifetime argument rests on erase counts ("each NAND Flash cell can
- * endure only a limited number of erases"). This module provides:
- *
- *  - WearSummary: per-drive erase-count statistics (the lifetime
- *    metric behind Figure 10's erase reductions),
- *  - WearAwareGcPolicy: a decorator over any GcPolicy that breaks
- *    near-ties toward less-worn victims, bounding the erase-count
- *    skew the base policy would otherwise build up on hot planes.
+ * endure only a limited number of erases"). WearSummary holds the
+ * per-drive erase-count statistics behind Figure 10's erase
+ * reductions; the victim selector's wear tie-break lives in
+ * ftl/gc_policy.hh.
  */
 
 #ifndef ZOMBIE_FTL_WEAR_HH
 #define ZOMBIE_FTL_WEAR_HH
 
 #include <cstdint>
-#include <memory>
 
-#include "ftl/gc_policy.hh"
 #include "nand/flash_array.hh"
 
 namespace zombie
@@ -44,32 +39,6 @@ struct WearSummary
 
 /** Compute erase-count statistics over every block in the array. */
 WearSummary summarizeWear(const FlashArray &flash);
-
-/**
- * Wear-aware tie-breaking decorator: victims whose base-policy score
- * is within @p tolerance garbage pages of the best are considered
- * equivalent, and the least-worn of them is chosen. tolerance = 0
- * degenerates to the base policy.
- */
-class WearAwareGcPolicy : public GcPolicy
-{
-  public:
-    WearAwareGcPolicy(std::unique_ptr<GcPolicy> base_policy,
-                      std::uint32_t tolerance = 8);
-
-    std::string name() const override;
-
-    std::uint64_t
-    selectVictim(const FlashArray &flash,
-                 const std::vector<std::uint64_t> &candidates)
-        const override;
-
-    const GcPolicy &base() const { return *basePolicy; }
-
-  private:
-    std::unique_ptr<GcPolicy> basePolicy;
-    std::uint32_t tol;
-};
 
 } // namespace zombie
 

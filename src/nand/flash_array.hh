@@ -151,12 +151,6 @@ class FlashArray
     }
 
     std::uint32_t
-    validCountOf(std::uint64_t block_index) const
-    {
-        return blkValidCount[block_index];
-    }
-
-    std::uint32_t
     invalidCountOf(std::uint64_t block_index) const
     {
         return blkInvalidCount[block_index];
@@ -176,10 +170,6 @@ class FlashArray
     const std::uint32_t *eraseCounts() const
     {
         return blkEraseCount.data();
-    }
-    const std::uint64_t *garbagePopularities() const
-    {
-        return blkGarbagePop.data();
     }
 
     /**

@@ -224,7 +224,9 @@ SsdConfig::describe() const
         if (dvpScope == DvpScope::Partitioned && usesDvp(system))
             oss << " dvp-scope=partitioned";
     }
-    if (usesDvp(system))
+    if (system == SystemKind::Ideal)
+        oss << ", pool=unbounded";
+    else if (usesDvp(system))
         oss << ", pool=" << mq.capacity << " entries";
     oss << ")";
     return oss.str();
@@ -253,8 +255,7 @@ SsdConfig::validate() const
         zombie_fatal("SsdConfig: queueDepth ", queueDepth,
                      " exceeds the 65536-tag ceiling");
     if (gcPolicy != "auto" && gcPolicy != "greedy" &&
-        gcPolicy != "popularity" && gcPolicy != "wear:greedy" &&
-        gcPolicy != "wear:popularity") {
+        gcPolicy != "popularity") {
         zombie_fatal("SsdConfig: bad gcPolicy '", gcPolicy, "'");
     }
     if (tenants == 0 || tenants > kMaxTenants) {

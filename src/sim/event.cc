@@ -76,7 +76,6 @@ EventEngine::dispatch(const Event &ev_ref, int lane)
         lanes[lane].pop_front();
     current = ev.when;
     ++fired;
-    ++kindFired[static_cast<std::uint32_t>(ev.kind)];
     target->event(ev.when, ev.kind, ev.ctx, ev.arg);
 }
 

@@ -71,9 +71,6 @@ enum class EventKind : std::uint8_t
     StatsSample,  //!< Epoch-sampler boundary (telemetry only).
 };
 
-/** Number of EventKind values (dispatch-histogram table size). */
-inline constexpr std::uint32_t kNumEventKinds = 5;
-
 /** Receiver of dispatched events (the controller, or a test). */
 class EventSink
 {
@@ -204,13 +201,6 @@ class EventEngine
     /** Total events dispatched over the engine's lifetime. */
     std::uint64_t dispatched() const { return fired; }
 
-    /** Dispatches of one kind (micro_event_engine histogram). */
-    std::uint64_t
-    dispatchedOfKind(EventKind kind) const
-    {
-        return kindFired[static_cast<std::uint32_t>(kind)];
-    }
-
   private:
     /** One scheduled event: POD, lives inline in its storage. */
     struct Event
@@ -266,7 +256,6 @@ class EventEngine
     std::uint64_t arrivalSeq = 0;
 
     std::uint64_t fired = 0;
-    std::uint64_t kindFired[kNumEventKinds] = {};
 };
 
 } // namespace zombie

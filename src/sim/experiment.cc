@@ -33,8 +33,7 @@ text(ExperimentOptions &opts, std::string_view value)
 
 using Opts = ExperimentOptions;
 
-constexpr std::string_view kGcPolicies =
-    "auto|greedy|popularity|wear:greedy|wear:popularity";
+constexpr std::string_view kGcPolicies = "auto|greedy|popularity";
 
 /**
  * The table. Order matters twice: experimentOptions() applies rows
@@ -55,8 +54,7 @@ constexpr ExperimentKey kKeys[] = {
      "the classic serialized dispatcher)",
      "depth", number<&Opts::queueDepth>},
     {"gc", "auto",
-     "GC victim policy: auto|greedy|popularity|wear:greedy|"
-     "wear:popularity",
+     "GC victim policy: auto|greedy|popularity",
      "gc",
      [](Opts &opts, std::string_view v) -> std::string {
          opts.gcPolicy = std::string(v);

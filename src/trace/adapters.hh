@@ -82,9 +82,6 @@ class ExternalPageSource : public TraceSource
 
     bool next(TraceRecord &out) override;
 
-    /** Distinct (tenant, LPN) pairs seen (version-map occupancy). */
-    std::uint64_t lpnsSeen() const { return versions.size(); }
-
   private:
     std::unique_ptr<RawTraceSource> src;
     std::uint32_t period;

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ftl/block_manager.hh"
+#include "nand/resource_model.hh"
+#include "util/random.hh"
 
 namespace zombie
 {
@@ -165,6 +169,68 @@ TEST(BlockManager, LoadProbeSkipsPlanesWithoutRoom)
     // Dynamic allocation must avoid plane 0 now.
     for (int i = 0; i < 8; ++i)
         EXPECT_NE(mgr.nextUserPlane(), 0u);
+}
+
+// Ssd installs the resource model's die-group minima over its die
+// table (setDieLoadGroups); the descent through the groups must pick
+// the plane the flat die scan picks. One model drives two managers,
+// one per view. Host writes land on the plane the flat view picked;
+// same-tick GC-style bursts leave several dies with one busy-until,
+// so the minimum is sometimes shared and sometimes on one die.
+TEST(BlockManager, DieGroupDescentMatchesFlatScan)
+{
+    // 4 ch x 8 chips x 4 dies x 2 planes: 128 dies in 8 groups of 16.
+    const Geometry geom(4, 8, 4, 2, 4, 8);
+    const std::uint64_t dies = geom.totalDies();
+    const std::uint64_t blocks_per_die =
+        std::uint64_t{geom.planesPerDie()} * geom.blocksPerPlane();
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        ResourceModel model(geom, TimingModel{});
+        ASSERT_EQ(dies / model.dieGroupDies(), 8u);
+        FlashArray flat_flash(geom);
+        FlashArray grouped_flash(geom);
+        BlockManager flat(flat_flash);
+        BlockManager grouped(grouped_flash);
+        flat.setDieLoadView(model.dieBusyTable(), geom.planesPerDie());
+        grouped.setDieLoadView(model.dieBusyTable(),
+                               geom.planesPerDie());
+        grouped.setDieLoadGroups(
+            model.dieGroupMinTable(),
+            static_cast<std::uint32_t>(model.dieGroupDies()));
+
+        const Tick *busy = model.dieBusyTable();
+        Xoshiro256 rng(seed);
+        Tick now = 0;
+        std::uint64_t one_die_min = 0;
+        std::uint64_t shared_min = 0;
+        for (int step = 0; step < 20'000; ++step) {
+            const Tick low = *std::min_element(busy, busy + dies);
+            if (std::count(busy, busy + dies, low) == 1)
+                ++one_die_min;
+            else
+                ++shared_min;
+            const std::uint64_t plane = flat.nextUserPlane();
+            ASSERT_EQ(grouped.nextUserPlane(), plane)
+                << "seed " << seed << " step " << step;
+            model.scheduleOp(
+                FlashOp::Program,
+                geom.firstPpnOfBlock(plane * geom.blocksPerPlane()),
+                now);
+            if (rng.nextBool(0.05)) {
+                const std::uint64_t burst = 2 + rng.nextBounded(15);
+                for (std::uint64_t i = 0; i < burst; ++i) {
+                    const std::uint64_t die = rng.nextBounded(dies);
+                    model.scheduleOp(
+                        FlashOp::Erase,
+                        geom.firstPpnOfBlock(die * blocks_per_die),
+                        now, true);
+                }
+            }
+            now += rng.nextBounded(ticksFromUs(100));
+        }
+        EXPECT_GT(one_die_min, 0u) << "seed " << seed;
+        EXPECT_GT(shared_min, 0u) << "seed " << seed;
+    }
 }
 
 TEST(BlockManagerDeath, ExhaustedPlanePanics)

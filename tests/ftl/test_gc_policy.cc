@@ -37,8 +37,7 @@ TEST(GreedyGc, PicksMostInvalidBlock)
     makeVictim(flash, 0, 2, 0);
     makeVictim(flash, 1, 6, 0);
     makeVictim(flash, 2, 4, 0);
-    GreedyGcPolicy policy;
-    EXPECT_EQ(policy.selectVictim(flash, {0, 1, 2}), 1u);
+    EXPECT_EQ(selectVictim(flash, {0, 1, 2}, 0.0), 1u);
 }
 
 TEST(GreedyGc, FirstWinsOnTies)
@@ -46,9 +45,8 @@ TEST(GreedyGc, FirstWinsOnTies)
     FlashArray flash(tinyGeom());
     makeVictim(flash, 0, 3, 0);
     makeVictim(flash, 1, 3, 0);
-    GreedyGcPolicy policy;
-    EXPECT_EQ(policy.selectVictim(flash, {0, 1}), 0u);
-    EXPECT_EQ(policy.selectVictim(flash, {1, 0}), 1u);
+    EXPECT_EQ(selectVictim(flash, {0, 1}, 0.0), 0u);
+    EXPECT_EQ(selectVictim(flash, {1, 0}, 0.0), 1u);
 }
 
 TEST(PopularityAwareGc, AvoidsPopularGarbage)
@@ -58,8 +56,7 @@ TEST(PopularityAwareGc, AvoidsPopularGarbage)
     FlashArray flash(tinyGeom());
     makeVictim(flash, 0, 4, 250); // popular garbage
     makeVictim(flash, 1, 4, 1);   // cold garbage
-    PopularityAwareGcPolicy policy(1.0);
-    EXPECT_EQ(policy.selectVictim(flash, {0, 1}), 1u);
+    EXPECT_EQ(selectVictim(flash, {0, 1}, 1.0), 1u);
 }
 
 TEST(PopularityAwareGc, StillPrefersClearlyBetterVictims)
@@ -68,16 +65,14 @@ TEST(PopularityAwareGc, StillPrefersClearlyBetterVictims)
     FlashArray flash(tinyGeom());
     makeVictim(flash, 0, 8, 60); // all invalid, warm
     makeVictim(flash, 1, 1, 0);  // barely invalid, cold
-    PopularityAwareGcPolicy policy(1.0);
-    EXPECT_EQ(policy.selectVictim(flash, {0, 1}), 0u);
+    EXPECT_EQ(selectVictim(flash, {0, 1}, 1.0), 0u);
 }
 
 TEST(PopularityAwareGc, ScoreFormula)
 {
     FlashArray flash(tinyGeom());
     makeVictim(flash, 0, 2, 100); // invalid=2, popSum=200
-    PopularityAwareGcPolicy policy(2.0);
-    EXPECT_DOUBLE_EQ(policy.score(flash, 0),
+    EXPECT_DOUBLE_EQ(victimScore(flash, 0, 2.0),
                      2.0 - 2.0 * 200.0 / 255.0);
 }
 
@@ -86,49 +81,28 @@ TEST(PopularityAwareGc, ZeroWeightDegeneratesToGreedy)
     FlashArray flash(tinyGeom());
     makeVictim(flash, 0, 5, 255);
     makeVictim(flash, 1, 4, 0);
-    PopularityAwareGcPolicy policy(0.0);
-    EXPECT_EQ(policy.selectVictim(flash, {0, 1}), 0u);
+    EXPECT_EQ(selectVictim(flash, {0, 1}, 0.0), 0u);
 }
 
 TEST(GcPolicyFactory, BuildsBothPolicies)
 {
-    EXPECT_EQ(makeGcPolicy("greedy")->name(), "greedy");
-    EXPECT_EQ(makeGcPolicy("popularity", 3.0)->name(),
-              "popularity-aware");
-}
-
-TEST(GcPolicyFactory, WearPrefixWrapsBasePolicy)
-{
-    EXPECT_EQ(makeGcPolicy("wear:greedy")->name(),
-              "wear-aware(greedy)");
-    EXPECT_EQ(makeGcPolicy("wear:popularity", 3.0)->name(),
-              "wear-aware(popularity-aware)");
-}
-
-TEST(GcPolicyFactory, WearWrappedGreedyStillPicksMostInvalid)
-{
-    FlashArray flash(tinyGeom());
-    makeVictim(flash, 0, 2, 0);
-    makeVictim(flash, 1, 6, 0);
-    auto policy = makeGcPolicy("wear:greedy");
-    EXPECT_EQ(policy->selectVictim(flash, {0, 1}), 1u);
+    EXPECT_DOUBLE_EQ(gcPolicyWeight("greedy", 3.0), 0.0);
+    EXPECT_DOUBLE_EQ(gcPolicyWeight("popularity", 3.0), 3.0);
 }
 
 TEST(GcPolicyFactoryDeath, UnknownNameIsFatal)
 {
-    EXPECT_EXIT((void)makeGcPolicy("random"),
+    EXPECT_EXIT((void)gcPolicyWeight("random", 1.0),
                 testing::ExitedWithCode(1), "unknown GC policy");
-    EXPECT_EXIT((void)makeGcPolicy("wear:random"),
+    EXPECT_EXIT((void)gcPolicyWeight("wear:greedy", 1.0),
                 testing::ExitedWithCode(1), "unknown GC policy");
 }
 
 TEST(GcPolicyDeath, EmptyCandidatesPanics)
 {
     FlashArray flash(tinyGeom());
-    GreedyGcPolicy greedy;
-    PopularityAwareGcPolicy pop;
-    EXPECT_DEATH((void)greedy.selectVictim(flash, {}), "no");
-    EXPECT_DEATH((void)pop.selectVictim(flash, {}), "no");
+    EXPECT_DEATH((void)selectVictim(flash, {}, 0.0), "no");
+    EXPECT_DEATH((void)selectVictim(flash, {}, 1.0), "no");
 }
 
 } // namespace

@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for wear accounting and the wear-aware GC decorator.
+ * Tests for wear accounting and the victim selector's wear
+ * tie-break.
  */
 
 #include <gtest/gtest.h>
 
+#include "ftl/gc_policy.hh"
 #include "ftl/wear.hh"
 
 namespace zombie
@@ -63,8 +65,7 @@ TEST(WearAwareGc, BreaksNearTiesTowardLessWornBlock)
         flash.eraseBlock(0);
     makeVictim(flash, 0, 6);
     makeVictim(flash, 1, 4); // within tolerance 4, unworn
-    WearAwareGcPolicy policy(std::make_unique<GreedyGcPolicy>(), 4);
-    EXPECT_EQ(policy.selectVictim(flash, {0, 1}), 1u);
+    EXPECT_EQ(selectVictim(flash, {0, 1}, 0.0, 4), 1u);
 }
 
 TEST(WearAwareGc, RespectsClearlyBetterVictims)
@@ -74,8 +75,7 @@ TEST(WearAwareGc, RespectsClearlyBetterVictims)
         flash.eraseBlock(0);
     makeVictim(flash, 0, 8); // far outside tolerance
     makeVictim(flash, 1, 1);
-    WearAwareGcPolicy policy(std::make_unique<GreedyGcPolicy>(), 4);
-    EXPECT_EQ(policy.selectVictim(flash, {0, 1}), 0u);
+    EXPECT_EQ(selectVictim(flash, {0, 1}, 0.0, 4), 0u);
 }
 
 TEST(WearAwareGc, ZeroToleranceIsBasePolicy)
@@ -85,21 +85,7 @@ TEST(WearAwareGc, ZeroToleranceIsBasePolicy)
         flash.eraseBlock(0);
     makeVictim(flash, 0, 5);
     makeVictim(flash, 1, 4);
-    WearAwareGcPolicy policy(std::make_unique<GreedyGcPolicy>(), 0);
-    EXPECT_EQ(policy.selectVictim(flash, {0, 1}), 0u);
-}
-
-TEST(WearAwareGc, NameReflectsBasePolicy)
-{
-    WearAwareGcPolicy policy(makeGcPolicy("popularity"), 4);
-    EXPECT_EQ(policy.name(), "wear-aware(popularity-aware)");
-    EXPECT_EQ(policy.base().name(), "popularity-aware");
-}
-
-TEST(WearAwareGcDeath, NullBasePolicyPanics)
-{
-    EXPECT_DEATH({ WearAwareGcPolicy policy(nullptr, 4); },
-                 "base policy");
+    EXPECT_EQ(selectVictim(flash, {0, 1}, 0.0, 0), 0u);
 }
 
 } // namespace

@@ -121,6 +121,16 @@ TEST(SsdConfig, DescribeMentionsSystemAndPool)
     EXPECT_NE(desc.find("8ch"), std::string::npos);
 }
 
+TEST(SsdConfig, DescribeShowsIdealPoolUnbounded)
+{
+    // Ideal's pool ignores mq.capacity, so the line must not show it.
+    SsdConfig cfg = SsdConfig::forFootprint(10'000, SystemKind::Ideal);
+    cfg.mq.capacity = 5000;
+    const std::string desc = cfg.describe();
+    EXPECT_NE(desc.find("pool=unbounded"), std::string::npos) << desc;
+    EXPECT_EQ(desc.find("5000"), std::string::npos) << desc;
+}
+
 TEST(SsdConfigDeath, ValidateRejectsBadValues)
 {
     SsdConfig cfg = SsdConfig::forFootprint(10'000, SystemKind::MqDvp);
@@ -130,6 +140,9 @@ TEST(SsdConfigDeath, ValidateRejectsBadValues)
 
     cfg = SsdConfig::forFootprint(10'000, SystemKind::MqDvp);
     cfg.gcPolicy = "bogus";
+    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                "gcPolicy");
+    cfg.gcPolicy = "wear:greedy";
     EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
                 "gcPolicy");
 
