@@ -45,7 +45,7 @@ Fingerprint
 synthesizeFingerprint(Lpn lpn, std::uint32_t version,
                       std::uint32_t tenant)
 {
-    zombie_assert(lpn < (1ULL << 40),
+    zombie_assert(lpn < kMaxTracePages,
                   "external LPN exceeds the 2^40 synthesis range");
     std::uint64_t id =
         (static_cast<std::uint64_t>(version) << 40) | lpn;
@@ -228,7 +228,10 @@ scanExternalTrace(const ExternalTraceConfig &cfg)
     ScannedTrace out;
     const TraceSourceFactory inner = makeExternalSourceFactory(cfg);
     auto remap = std::make_shared<LpnRemap>();
-    TraceSummarizer summarizer;
+    // A compacting scan counts distinct pages in the remap, so the
+    // summarizer keeps no LPN set of its own.
+    TraceSummarizer summarizer(cfg.summarize,
+                               cfg.summarize && !cfg.compact);
 
     // Per-tenant footprints; single implicit tenant when device
     // routing is off. Remap values hold per-tenant indices during
@@ -238,7 +241,6 @@ scanExternalTrace(const ExternalTraceConfig &cfg)
     auto src = inner();
     TraceRecord rec;
     Lpn max_lpn = 0;
-    bool first = true;
     while (src->next(rec)) {
         ++out.records;
         if (cfg.compact) {
@@ -246,31 +248,12 @@ scanExternalTrace(const ExternalTraceConfig &cfg)
                 tenant_counts.resize(rec.tenant + 1, 0);
             const Lpn key =
                 (static_cast<Lpn>(rec.tenant) << 48) | rec.lpn;
-            const auto [it, fresh] = remap->insert(
-                {key, static_cast<Lpn>(
-                          tenant_counts[rec.tenant])});
-            if (fresh)
+            if (remap->insert({key, tenant_counts[rec.tenant]}).second)
                 ++tenant_counts[rec.tenant];
-            // Summarize under the tenant-qualified dense id so
-            // distinct pages of different tenants stay distinct
-            // (identical to the plain index for tenant 0).
-            rec.lpn =
-                (static_cast<Lpn>(rec.tenant) << 48) | it->second;
-        }
-        max_lpn = std::max(max_lpn, rec.lpn);
-        if (cfg.summarize) {
-            summarizer.observe(rec);
         } else {
-            // Cheap fields only: skip the O(distinct-values) sets.
-            if (rec.isWrite())
-                ++out.summary.writes;
-            else
-                ++out.summary.reads;
-            if (first)
-                out.summary.firstArrival = rec.arrival;
-            out.summary.lastArrival = rec.arrival;
+            max_lpn = std::max(max_lpn, rec.lpn);
         }
-        first = false;
+        summarizer.observe(rec);
     }
 
     if (tenant_counts.size() > 1) {
@@ -288,9 +271,8 @@ scanExternalTrace(const ExternalTraceConfig &cfg)
     out.footprintPages =
         cfg.compact ? remap->size()
                     : (out.records > 0 ? max_lpn + 1 : 0);
-    if (cfg.summarize)
-        out.summary = summarizer.finish();
-    else
+    out.summary = summarizer.finish();
+    if (cfg.compact || !cfg.summarize)
         out.summary.distinctLpns = out.footprintPages;
 
     if (cfg.compact) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cctype>
 
 #include "util/logging.hh"
 #include "util/types.hh"
@@ -14,10 +13,22 @@ namespace
 {
 
 /**
+ * std::isspace in the "C" locale: ' ' and '\t'..'\r'. The byte is
+ * compared as unsigned char, so bytes >= 0x80 stay token bytes, as
+ * they are under isspace; nothing in the simulator calls setlocale.
+ */
+constexpr bool
+isCSpace(char c)
+{
+    const auto u = static_cast<unsigned char>(c);
+    return u == ' ' || (u >= '\t' && u <= '\r');
+}
+
+/**
  * Split @p line on @p sep (the space separator also folds runs of
- * whitespace, matching the blkio column convention) into at most
- * @p max fields. @return the field count, which may exceed @p max by
- * one to signal trailing garbage.
+ * C-locale whitespace, matching the blkio column convention) into at
+ * most @p max fields. @return the field count, which may exceed
+ * @p max by one to signal trailing garbage.
  */
 std::size_t
 splitFields(std::string_view line, char sep, std::string_view *out,
@@ -28,16 +39,14 @@ splitFields(std::string_view line, char sep, std::string_view *out,
     std::size_t n = 0;
     while (p < end) {
         if (sep == ' ') {
-            while (p < end && std::isspace(
-                                  static_cast<unsigned char>(*p)))
+            while (p < end && isCSpace(*p))
                 ++p;
             if (p == end)
                 break;
         }
         const char *start = p;
         if (sep == ' ') {
-            while (p < end && !std::isspace(
-                                  static_cast<unsigned char>(*p)))
+            while (p < end && !isCSpace(*p))
                 ++p;
         } else {
             while (p < end && *p != sep)
@@ -117,6 +126,34 @@ LineTraceSource::parseUint(std::string_view field,
     return value;
 }
 
+std::uint64_t
+LineTraceSource::toBytes(std::uint64_t count, std::uint64_t unit,
+                         std::string_view line) const
+{
+    std::uint64_t bytes = 0;
+    if (__builtin_mul_overflow(count, unit, &bytes))
+        fail(std::to_string(count) + " * " + std::to_string(unit) +
+                 " bytes overflows 64 bits",
+             line);
+    return bytes;
+}
+
+void
+LineTraceSource::checkExtent(const RawIoRecord &rec,
+                             std::string_view line) const
+{
+    std::uint64_t end = 0;
+    if (__builtin_add_overflow(rec.offset, rec.length, &end))
+        fail("extent end overflows 64 bits", line);
+    // A zero-length request still touches the page at its offset.
+    const std::uint64_t last_page =
+        (rec.length ? end - 1 : end) / kPageSize;
+    if (last_page >= kMaxTracePages)
+        fail("extent reaches page " + std::to_string(last_page) +
+                 ", past the 2^40-page range",
+             line);
+}
+
 bool
 LineTraceSource::isHeader(std::string_view) const
 {
@@ -134,6 +171,7 @@ LineTraceSource::next(RawIoRecord &out)
             continue;
         out = RawIoRecord{};
         parseLine(text, out);
+        checkExtent(out, text);
 
         // Normalize: the first record's wall-clock timestamp maps to
         // tick 0, and small reorderings (real traces carry them)
@@ -144,7 +182,9 @@ LineTraceSource::next(RawIoRecord &out)
         }
         const std::uint64_t delta =
             rawTimestamp > firstRaw ? rawTimestamp - firstRaw : 0;
-        Tick arrival = delta * arrivalUnitNs();
+        Tick arrival = 0;
+        if (__builtin_mul_overflow(delta, arrivalUnitNs(), &arrival))
+            fail("timestamp is more than 2^64 ns past the first", text);
         arrival = std::max(arrival, lastArrival);
         lastArrival = arrival;
         out.arrival = arrival;
@@ -185,8 +225,8 @@ FiuBlkioSource::parseLine(std::string_view line, RawIoRecord &out)
       default:
         fail("bad op '" + std::string(f[5]) + "'", line);
     }
-    out.offset = lba * 512;
-    out.length = sectors * 512;
+    out.offset = toBytes(lba, 512, line);
+    out.length = toBytes(sectors, 512, line);
     if (n == 9) {
         if (!Fingerprint::parseHex(f[8], out.fp))
             fail("md5 column is not 32 hex digits", line);
@@ -257,7 +297,6 @@ GenericCsvSource::parseLine(std::string_view line, RawIoRecord &out)
     if (n != 4)
         fail("expected 4 columns, got " + std::to_string(n), line);
     const std::uint64_t lba = parseUint(f[0], line);
-    out.offset = lba * kPageSize;
     out.length = parseUint(f[1], line);
     if (f[2].size() != 1)
         fail("bad op column '" + std::string(f[2]) + "'", line);
@@ -274,6 +313,7 @@ GenericCsvSource::parseLine(std::string_view line, RawIoRecord &out)
         fail("bad op '" + std::string(f[2]) + "'", line);
     }
     rawTimestamp = parseUint(f[3], line);
+    out.offset = toBytes(lba, kPageSize, line);
     out.hasFingerprint = false;
 }
 

@@ -13,9 +13,11 @@
  *
  *  - FIU SRCMap blkio (the paper's own trace family): one record per
  *    line, "timestamp pid process lba size op major minor [md5]";
- *    timestamps are Windows FILETIME ticks (100ns), lba/size are in
- *    512-byte sectors, and the md5 column is the native 16-byte
- *    fingerprint of the 4KB block.
+ *    any run of C-locale whitespace (' ', '\t'..'\r') separates two
+ *    columns, and every other byte, 0x80 and above included, is a
+ *    column byte. Timestamps are Windows FILETIME ticks (100ns),
+ *    lba/size are in 512-byte sectors, and the md5 column is the
+ *    native 16-byte fingerprint of the 4KB block.
  *  - MSR-Cambridge CSV: "Timestamp,Hostname,DiskNumber,Type,Offset,
  *    Size,ResponseTime"; FILETIME timestamps, byte offsets/sizes, no
  *    content hashes.
@@ -27,6 +29,10 @@
  * Parsers are strictly streaming (one line of lookahead, bounded
  * memory) and strictly validating: a malformed line is a
  * zombie_fatal naming the file and line, never a garbage record.
+ * That includes a line whose extent or timestamp does not fit the
+ * simulator: a byte offset, length or extent end that overflows 64
+ * bits, a last page at or past kMaxTracePages, or an arrival that
+ * overflows 64-bit ns.
  */
 
 #ifndef ZOMBIE_TRACE_FORMATS_HH
@@ -43,6 +49,14 @@
 
 namespace zombie
 {
+
+/**
+ * Bound on the pages an external extent may touch: every extent must
+ * end below page 2^40. It is the range synthesizeFingerprint packs
+ * into a content id, and it keeps the (tenant << 48) | lpn keys of
+ * the adapters' version and remap tables disjoint across tenants.
+ */
+inline constexpr std::uint64_t kMaxTracePages = 1ULL << 40;
 
 /** External block-trace formats with a streaming parser. */
 enum class ExternalFormat
@@ -128,6 +142,10 @@ class LineTraceSource : public RawTraceSource
     std::uint64_t parseUint(std::string_view field,
                             std::string_view line) const;
 
+    /** @p count units of @p unit bytes; fatal when that overflows. */
+    std::uint64_t toBytes(std::uint64_t count, std::uint64_t unit,
+                          std::string_view line) const;
+
     const std::string &path() const { return path_; }
     std::uint64_t lineNumber() const { return reader.lineNumber(); }
 
@@ -135,6 +153,10 @@ class LineTraceSource : public RawTraceSource
     BufferedLineReader reader;
     std::string path_;
     const char *fmtName;
+
+    /** Fatal unless @p rec's extent ends below kMaxTracePages. */
+    void checkExtent(const RawIoRecord &rec,
+                     std::string_view line) const;
 
     /** Raw-unit timestamp of the first record (normalization base). */
     bool sawFirst = false;

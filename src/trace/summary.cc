@@ -12,16 +12,16 @@ TraceSummarizer::observe(const TraceRecord &rec)
     }
     summary.lastArrival = rec.arrival;
 
-    if (lpns.insert(rec.lpn))
+    if (countLpns && lpns.insert(rec.lpn))
         ++summary.distinctLpns;
 
     if (rec.isWrite()) {
         ++summary.writes;
-        if (writeValues.insert(rec.fp))
+        if (countValues && writeValues.insert(rec.fp))
             ++summary.distinctWriteValues;
     } else {
         ++summary.reads;
-        if (readValues.insert(rec.fp))
+        if (countValues && readValues.insert(rec.fp))
             ++summary.distinctReadValues;
     }
 }

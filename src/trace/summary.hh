@@ -65,6 +65,21 @@ struct TraceSummary
 class TraceSummarizer
 {
   public:
+    /**
+     * @param distinct_values count distinct write and read
+     *        fingerprints (O(distinct values) heap).
+     * @param distinct_lpns count distinct LPNs (O(footprint) heap);
+     *        a caller that already knows the count passes false and
+     *        fills TraceSummary::distinctLpns itself.
+     * With a set off, its count stays 0; the record counts and the
+     * arrival span are always kept.
+     */
+    explicit TraceSummarizer(bool distinct_values = true,
+                             bool distinct_lpns = true)
+        : countValues(distinct_values), countLpns(distinct_lpns)
+    {
+    }
+
     void observe(const TraceRecord &rec);
     TraceSummary finish() const { return summary; }
 
@@ -73,6 +88,8 @@ class TraceSummarizer
     FlatSet<Fingerprint, FingerprintHash> writeValues;
     FlatSet<Fingerprint, FingerprintHash> readValues;
     FlatSet<Lpn> lpns;
+    bool countValues;
+    bool countLpns;
     bool first = true;
 };
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "temp_path.hh"
 #include "trace/adapters.hh"
@@ -43,6 +44,16 @@ class TraceAdaptersTest : public testing::Test
         ExternalTraceConfig cfg;
         cfg.path = tempPath();
         cfg.format = ExternalFormat::GenericCsv;
+        return cfg;
+    }
+
+    ExternalTraceConfig
+    msrConfig()
+    {
+        ExternalTraceConfig cfg;
+        cfg.path = tempPath();
+        cfg.format = ExternalFormat::MsrCsv;
+        cfg.deviceTenants = true;
         return cfg;
     }
 };
@@ -219,6 +230,92 @@ TEST_F(TraceAdaptersTest, ScanSummaryMatchesStream)
     EXPECT_EQ(scan.summary.lastArrival, 20u);
 }
 
+/** Every TraceSummary field of @p got equals @p want's. */
+void
+expectSameSummary(const TraceSummary &got, const TraceSummary &want)
+{
+    EXPECT_EQ(got.reads, want.reads);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.distinctWriteValues, want.distinctWriteValues);
+    EXPECT_EQ(got.distinctReadValues, want.distinctReadValues);
+    EXPECT_EQ(got.distinctLpns, want.distinctLpns);
+    EXPECT_EQ(got.firstArrival, want.firstArrival);
+    EXPECT_EQ(got.lastArrival, want.lastArrival);
+}
+
+TEST_F(TraceAdaptersTest, ScanSummaryEqualsSummaryOfEmittedRecords)
+{
+    // The scan's Table-II summary (distinct pages counted by the
+    // compaction remap, or by the summarizer when the scan does not
+    // compact) must equal summarizeTrace over what the factory
+    // emits, field by field.
+    const auto check = [](const ExternalTraceConfig &cfg) {
+        const ScannedTrace scan = scanExternalTrace(cfg);
+        auto src = scan.factory();
+        const auto records = drainSource(*src);
+        ASSERT_EQ(records.size(), scan.records);
+        expectSameSummary(scan.summary, summarizeTrace(records));
+    };
+
+    // FIU with native MD5s: repeating content, multi-page extents,
+    // a few hashless lines.
+    std::string fiu;
+    for (int i = 0; i < 300; ++i) {
+        char md5[33];
+        std::snprintf(md5, sizeof(md5), "%08x%08x%08x%08x", i % 37,
+                      7 * (i % 37) + 1, 12345, 678);
+        fiu += std::to_string(1000 + i * 30) + " 1000 proc " +
+               std::to_string(((i * 7919) % 211) * 8) + " " +
+               std::to_string(8 * (1 + i % 3)) +
+               (i % 4 == 3 ? " R 8 0" : " W 8 0") +
+               (i % 10 == 9 ? std::string() : " " + std::string(md5)) +
+               "\n";
+    }
+    writeCsv(fiu);
+    ExternalTraceConfig fiu_cfg = csvConfig();
+    fiu_cfg.format = ExternalFormat::FiuBlkio;
+    {
+        SCOPED_TRACE("fiu");
+        check(fiu_cfg);
+    }
+
+    // Generic CSV whose versions recur with period 3, compacted and
+    // not.
+    std::string csv = "lba,size,op,ts\n";
+    for (int i = 0; i < 300; ++i)
+        csv += std::to_string(900 + (i * 7919) % 97) + "," +
+               (i % 5 == 0 ? "12288" : "4096") +
+               (i % 4 == 3 ? ",R," : ",W,") + std::to_string(i * 3000) +
+               "\n";
+    writeCsv(csv);
+    ExternalTraceConfig csv_cfg = csvConfig();
+    csv_cfg.versionPeriod = 3;
+    {
+        SCOPED_TRACE("csv");
+        check(csv_cfg);
+    }
+    csv_cfg.compact = false;
+    {
+        SCOPED_TRACE("csv --no-compact");
+        check(csv_cfg);
+    }
+
+    // Three MSR devices routed onto tenant namespaces, each one
+    // rewriting and rereading its pages.
+    std::string msr;
+    for (int i = 0; i < 300; ++i)
+        msr += std::to_string(128166372003061629ULL + i * 100) +
+               ",srv0," + std::to_string(i % 3 == 0 ? 4 : i % 3) +
+               (i % 4 == 1 ? ",Read," : ",Write,") +
+               std::to_string(((i * 7) % 23) * 4096) +
+               (i % 6 == 5 ? ",8192,100\n" : ",4096,100\n");
+    writeCsv(msr);
+    {
+        SCOPED_TRACE("msr --msr-disk-tenants");
+        check(msrConfig());
+    }
+}
+
 TEST_F(TraceAdaptersTest, SummaryOffStillCountsAndSizes)
 {
     writeCsv("1,4096,W,0\n1,4096,R,10\n2,8192,W,20\n");
@@ -251,19 +348,10 @@ TEST_F(TraceAdaptersTest, FactoryRebuildsIdenticalStreams)
     }
 }
 
+/** Device-to-tenant routing cases. */
 class DeviceTenantsTest : public TraceAdaptersTest
 {
   protected:
-    ExternalTraceConfig
-    msrConfig()
-    {
-        ExternalTraceConfig cfg;
-        cfg.path = tempPath();
-        cfg.format = ExternalFormat::MsrCsv;
-        cfg.deviceTenants = true;
-        return cfg;
-    }
-
     /** "ts,host,disk,type,offset,size,rt" rows for three disks. */
     void
     writeThreeDiskMsr()

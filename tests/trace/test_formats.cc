@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "temp_path.hh"
 #include "trace/formats.hh"
@@ -105,6 +107,153 @@ TEST_F(TraceFormatsTest, FiuBlkioRejectsMalformedLines)
                     c.diagnostic)
             << c.line;
     }
+}
+
+/** Every RawIoRecord field of @p got equals @p want's. */
+void
+expectSameRaw(const RawIoRecord &got, const RawIoRecord &want)
+{
+    EXPECT_EQ(got.arrival, want.arrival);
+    EXPECT_EQ(got.write, want.write);
+    EXPECT_EQ(got.offset, want.offset);
+    EXPECT_EQ(got.length, want.length);
+    EXPECT_EQ(got.device, want.device);
+    EXPECT_EQ(got.hasFingerprint, want.hasFingerprint);
+    EXPECT_EQ(got.fp, want.fp);
+}
+
+TEST_F(TraceFormatsTest, FiuColumnsSplitOnCLocaleWhitespace)
+{
+    // Any run of C-locale whitespace separates two columns: ' ' and
+    // '\t'..'\r' ('\n' ends the line, and a line-final '\r' is
+    // stripped as CRLF, so here '\r' sits mid-line).
+    const std::vector<std::vector<std::string>> lines = {
+        {"1000", "42", "maild", "16", "8", "W", "8", "0",
+         "0123456789abcdef0123456789abcdef"},
+        {"1020", "42", "maild", "24", "16", "R", "8", "0"},
+    };
+    const auto render = [&](const std::string &sep) {
+        std::string text;
+        for (const auto &cols : lines) {
+            for (std::size_t i = 0; i < cols.size(); ++i)
+                text += (i ? sep : "") + cols[i];
+            text += '\n';
+        }
+        return text;
+    };
+    writeFile(render(" "));
+    FiuBlkioSource ref_src(tempPath());
+    const auto want = drainRaw(ref_src);
+    ASSERT_EQ(want.size(), 2u);
+
+    for (const std::string sep :
+         {"\t", "\v", "\f", "\r", "  ", " \t", "\t\v\f\r ",
+          "\r\r\t"}) {
+        writeFile(render(sep));
+        FiuBlkioSource src(tempPath());
+        const auto got = drainRaw(src);
+        ASSERT_EQ(got.size(), want.size()) << testing::PrintToString(sep);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE(testing::PrintToString(sep));
+            expectSameRaw(got[i], want[i]);
+        }
+    }
+}
+
+TEST_F(TraceFormatsTest, FiuNonCLocaleSpaceBytesStayInTheColumn)
+{
+    // Bytes that are not whitespace in the "C" locale, high bytes
+    // included, are column bytes, so each glues two columns into one.
+    for (const char byte : {'\x1c', '\x7f', '\x85', '\xa0'}) {
+        writeFile(std::string("1000 42 maild 16") + byte +
+                  "8 W 8 0\n");
+        FiuBlkioSource src(tempPath());
+        RawIoRecord rec;
+        EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                    "expected 8 or 9 columns, got 7")
+            << static_cast<int>(static_cast<unsigned char>(byte));
+    }
+}
+
+// A hostile extent or timestamp ends in a fatal naming the file and
+// line, never in a panic or a value that wrapped past 2^64.
+
+TEST_F(TraceFormatsTest, CsvPagePast2To40IsFatal)
+{
+    writeFile("2199023255552,4096,W,0\n"); // 2^41 pages
+    GenericCsvSource src(tempPath());
+    RawIoRecord rec;
+    EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                "formats\\.trc:1 \\(extent reaches page 2199023255552");
+}
+
+TEST_F(TraceFormatsTest, CsvByteOffsetOverflowIsFatal)
+{
+    writeFile("4503599627370496,4096,W,0\n"); // 2^52 pages: 2^64 bytes
+    GenericCsvSource src(tempPath());
+    RawIoRecord rec;
+    EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                "formats\\.trc:1 \\(4503599627370496 \\* 4096 bytes "
+                "overflows");
+}
+
+TEST_F(TraceFormatsTest, FiuByteOffsetOverflowIsFatal)
+{
+    writeFile("1000 42 maild 36028797018963968 8 W 8 0\n"); // 2^55
+    FiuBlkioSource src(tempPath());
+    RawIoRecord rec;
+    EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                "formats\\.trc:1 \\(36028797018963968 \\* 512 bytes "
+                "overflows");
+}
+
+TEST_F(TraceFormatsTest, FiuLengthOverflowIsFatal)
+{
+    writeFile("1000 42 maild 16 4611686018427387904 W 8 0\n"); // 2^62
+    FiuBlkioSource src(tempPath());
+    RawIoRecord rec;
+    EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                "formats\\.trc:1 \\(4611686018427387904 \\* 512 bytes "
+                "overflows");
+}
+
+TEST_F(TraceFormatsTest, MsrExtentEndOverflowIsFatal)
+{
+    // Offset and size fit; their sum wraps past 2^64.
+    writeFile("128166372003061629,srv0,0,Write,9223372036854775808,"
+              "9223372036854775808,100\n");
+    MsrCsvSource src(tempPath());
+    RawIoRecord rec;
+    EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                "formats\\.trc:1 \\(extent end overflows");
+}
+
+TEST_F(TraceFormatsTest, TimestampOverflowIsFatal)
+{
+    // 184467440737095517 FILETIME ticks are just past 2^64 ns.
+    writeFile("0 42 maild 16 8 W 8 0\n"
+              "184467440737095517 42 maild 16 8 W 8 0\n");
+    FiuBlkioSource src(tempPath());
+    RawIoRecord rec;
+    ASSERT_TRUE(src.next(rec));
+    EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                "formats\\.trc:2 \\(timestamp");
+}
+
+TEST_F(TraceFormatsTest, ExtentsBelowPage2To40Parse)
+{
+    // The last page below the bound, a zero-length request on it
+    // and the largest tick delta that fits all parse.
+    writeFile("0 42 maild 8796093022200 8 W 8 0\n"
+              "184467440737095516 42 maild 8796093022207 0 R 8 0\n");
+    FiuBlkioSource src(tempPath());
+    const auto records = drainRaw(src);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ((records[0].offset + records[0].length - 1) / kPageSize,
+              kMaxTracePages - 1);
+    EXPECT_EQ(records[1].offset / kPageSize, kMaxTracePages - 1);
+    EXPECT_EQ(records[1].length, 0u);
+    EXPECT_EQ(records[1].arrival, 18446744073709551600u);
 }
 
 TEST_F(TraceFormatsTest, FatalNamesFileAndLine)

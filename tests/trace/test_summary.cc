@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "trace/summary.hh"
 
 namespace zombie
@@ -75,6 +77,37 @@ TEST(TraceSummary, ReadAndWriteValueSetsAreIndependent)
     EXPECT_EQ(s.distinctReadValues, 1u);
     EXPECT_DOUBLE_EQ(s.uniqueWriteValueFraction(), 1.0);
     EXPECT_DOUBLE_EQ(s.uniqueReadValueFraction(), 0.5);
+}
+
+TEST(TraceSummary, SetsSwitchedOffLeaveOnlyTheirCounts)
+{
+    // A summarizer told to keep no LPN set (or no value sets)
+    // leaves that count 0 and every other field as the full one.
+    const std::vector<TraceRecord> trace = {
+        rec(10, OpType::Write, 0, 100), rec(20, OpType::Write, 1, 100),
+        rec(30, OpType::Read, 0, 100), rec(40, OpType::Write, 2, 200),
+    };
+    const TraceSummary full = summarizeTrace(trace);
+    TraceSummarizer no_lpns(true, false);
+    TraceSummarizer no_values(false, true);
+    for (const TraceRecord &r : trace) {
+        no_lpns.observe(r);
+        no_values.observe(r);
+    }
+    for (const TraceSummary &s : {no_lpns.finish(), no_values.finish()}) {
+        EXPECT_EQ(s.reads, full.reads);
+        EXPECT_EQ(s.writes, full.writes);
+        EXPECT_EQ(s.firstArrival, full.firstArrival);
+        EXPECT_EQ(s.lastArrival, full.lastArrival);
+    }
+    EXPECT_EQ(no_lpns.finish().distinctLpns, 0u);
+    EXPECT_EQ(no_lpns.finish().distinctWriteValues,
+              full.distinctWriteValues);
+    EXPECT_EQ(no_lpns.finish().distinctReadValues,
+              full.distinctReadValues);
+    EXPECT_EQ(no_values.finish().distinctLpns, full.distinctLpns);
+    EXPECT_EQ(no_values.finish().distinctWriteValues, 0u);
+    EXPECT_EQ(no_values.finish().distinctReadValues, 0u);
 }
 
 } // namespace
