@@ -101,8 +101,9 @@ for preset in $presets; do
 
     # Telemetry smoke: one small cell with the epoch sampler, the op
     # tracer and the registry dump all engaged. Both JSON artifacts
-    # must parse, and the end-of-run stat dump is deterministic, so
-    # it diffs against a golden like the bench stdout above.
+    # must parse, and the end-of-run stat dump and the epoch series
+    # are deterministic, so they diff against goldens like the bench
+    # stdout above.
     echo "==> telemetry smoke [$preset]"
     "$bindir"/examples/simulate_trace --workload mail --system dvp \
         --requests 20000 --seed 42 --stats-interval 20000 \
@@ -116,6 +117,8 @@ for preset in $presets; do
         > /dev/null
     diff -u tests/golden/telemetry/simulate_trace_stats.txt \
         "$bindir/telemetry.smoke.stats.txt"
+    diff -u tests/golden/telemetry/simulate_trace_epochs.csv \
+        "$bindir/telemetry.smoke.csv"
 
     # The LRU and Ideal systems' pools are configurations of the MQ
     # pool whose names derive from the configuration; their dumps

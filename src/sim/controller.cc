@@ -94,8 +94,12 @@ Controller::Controller(const SsdConfig &config, Ftl &ftl_,
     // regrow the heap, costing an allocation, not correctness).
     completedAhead.reserve(std::max<std::size_t>(
         8192, 2ul * depth));
-    // At most one DispatchDone per tag is ever pending.
-    engine.reserveLane(EventEngine::kDispatchLane, depth + 4);
+    // At most one DispatchDone per tag is ever pending. The heap
+    // holds the in-flight FlashDone events and one StatsSample; a
+    // GC-heavy reorder window regrows it during warm-up (an
+    // allocation, never an error).
+    engine.reserveFifo(depth + 4);
+    engine.reserve(4ul * depth + 16);
     // Scratch high-water: one user step plus, in the worst (survival
     // mode) case, a whole victim block of relocation reads/programs
     // and the closing erase — per plane that drained this command.
@@ -110,36 +114,33 @@ Controller::submit(const TraceRecord &rec)
                      " on a drive configured for ", numTenants,
                      " tenant(s)");
     }
+    // Service the past before admitting the future: the in-flight
+    // window is all the engine ever holds.
+    engine.runBefore(rec.arrival);
     if (submitted == 0)
         cstats.firstArrival = rec.arrival;
-    arrivals.push_back(HostCommand{rec, submitted++});
-    // Keep the event storages ahead of their worst-case occupancy:
-    // one HostArrival per outstanding submission in the arrival lane
-    // plus a few in-flight events (flash, GC tail) per tag on the
-    // heap. Growing by doubling here — where occupancy actually
-    // grows — makes each capacity a function of the submission
-    // high-water mark alone, so replaying an identical trace never
-    // regrows them mid-run.
-    const std::size_t need = arrivals.size() + 4ul * depth + 16;
-    if (need > eventReserve) {
-        eventReserve = std::max(need, 2 * eventReserve);
-        engine.reserve(eventReserve);
-        engine.reserveLane(EventEngine::kArrivalLane, eventReserve);
-    }
-    // Arrivals are nondecreasing by the submit() contract, so the
-    // whole trace rides the O(1) arrival lane instead of the heap.
-    engine.scheduleMonotone(EventEngine::kArrivalLane, rec.arrival,
-                            EventKind::HostArrival);
+    inputOpen = true;
 
     // First submission after an idle period re-arms the sampler at
     // the next absolute epoch boundary (boundaries are multiples of
-    // the interval, so the grid survives idle gaps unshifted).
+    // the interval, so the grid survives idle gaps unshifted). It
+    // draws its sequence number before this command's dispatch, so
+    // a same-tick boundary fires first.
     if (sampler && !samplerArmed) {
         samplerArmed = true;
-        const Tick from = std::max(engine.now(), rec.arrival);
-        engine.schedule(sampler->nextBoundary(from),
+        engine.schedule(sampler->nextBoundary(rec.arrival),
                         EventKind::StatsSample);
     }
+
+    // Route the command to its tenant's submission queue and mirror
+    // the admission counters drive-wide (hqTotal backs the
+    // "ctrl.queue.*" stats across any tenant count).
+    queues[rec.tenant].push(HostCommand{rec, submitted++});
+    ++hqTotal.submitted;
+    ++waitingNow;
+    if (waitingNow > hqTotal.maxWaiting)
+        hqTotal.maxWaiting = waitingNow;
+    tryDispatch(rec.arrival);
 }
 
 void
@@ -147,21 +148,6 @@ Controller::event(Tick now, EventKind kind, std::uint32_t ctx,
                   std::uint64_t arg)
 {
     switch (kind) {
-      case EventKind::HostArrival: {
-        // Arrivals fire in submission order: route the next command
-        // to its tenant's submission queue and mirror the admission
-        // counters drive-wide (hqTotal backs the "ctrl.queue.*"
-        // stats across any tenant count).
-        const HostCommand &cmd = arrivals.front();
-        queues[cmd.rec.tenant].push(cmd);
-        arrivals.pop_front();
-        ++hqTotal.submitted;
-        ++waitingNow;
-        if (waitingNow > hqTotal.maxWaiting)
-            hqTotal.maxWaiting = waitingNow;
-        tryDispatch(now);
-        break;
-      }
       case EventKind::DispatchDone: {
         const HostCommand cmd = inDispatch[ctx];
         inDispatch.release(ctx);
@@ -171,11 +157,6 @@ Controller::event(Tick now, EventKind kind, std::uint32_t ctx,
       }
       case EventKind::FlashDone:
         onCompletion(arg);
-        break;
-      case EventKind::GcTail:
-        // Background GC chain drained. Its completion was already
-        // folded into lastCompletion when the steps were issued; the
-        // event marks the drain point in the schedule.
         break;
       case EventKind::StatsSample:
         // Epoch boundary: snapshot the registry, then re-arm one
@@ -231,10 +212,9 @@ Controller::tryDispatch(Tick now)
         const std::uint32_t slot = inDispatch.acquire();
         inDispatch[slot] = cmd;
         // Dispatch-done ticks are `now + ftlOverhead` with `now`
-        // monotone, so they ride the second O(1) lane.
-        engine.scheduleMonotone(EventEngine::kDispatchLane,
-                                ctxFreeAt[best],
-                                EventKind::DispatchDone, slot);
+        // monotone, so they ride the O(1) FIFO.
+        engine.scheduleFifo(ctxFreeAt[best], EventKind::DispatchDone,
+                            slot);
     }
 }
 
@@ -290,10 +270,8 @@ Controller::onDispatched(const HostCommand &cmd, Tick now)
 
     engine.schedule(issued.completion, EventKind::FlashDone, 0,
                     cmd.idx);
-    if (issued.gcTail > issued.completion) {
+    if (issued.gcTail > issued.completion)
         cstats.gcTailTicks += issued.gcTail - issued.completion;
-        engine.schedule(issued.gcTail, EventKind::GcTail);
-    }
 
     // This command's tag is free again: admit the next waiter.
     tryDispatch(now);
@@ -399,6 +377,7 @@ Controller::tenantResult(std::uint32_t t) const
 void
 Controller::drain()
 {
+    inputOpen = false;
     engine.run();
     zombie_assert(outstanding() == 0,
                   "drained engine left commands in flight");

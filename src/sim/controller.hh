@@ -57,7 +57,6 @@
 #include "sim/read_cache.hh"
 #include "telemetry/epoch_sampler.hh"
 #include "telemetry/stat_registry.hh"
-#include "util/ring.hh"
 #include "util/slab.hh"
 #include "util/stats.hh"
 
@@ -162,12 +161,15 @@ class Controller : public EventSink
                EventEngine &events);
 
     /**
-     * Submit one host command. Arrival ticks must be nondecreasing.
-     * The command is serviced when the engine drains.
+     * Admit one host command at its arrival tick: fire every event
+     * scheduled before rec.arrival, then queue the command and
+     * dispatch it if a tag is free. Arrival ticks must be
+     * nondecreasing; one before the engine's clock panics.
      */
     void submit(const TraceRecord &rec);
 
-    /** Run the engine until every submitted command completed. */
+    /** Close the input and run the engine until every submitted
+     *  command completed. */
     void drain();
 
     /** Typed-event dispatch (EventSink). */
@@ -198,14 +200,6 @@ class Controller : public EventSink
      * engine always drains.
      */
     void attachSampler(EpochSampler *s) { sampler = s; }
-
-    /**
-     * Whether the admission pump still has records to submit. While
-     * open, the sampler chain stays armed across idle gaps, so a
-     * streamed run closes the same epoch rows as submitting the
-     * whole trace up front. Close it before the final drain.
-     */
-    void setInputOpen(bool open) { inputOpen = open; }
 
     /**
      * Register pipeline counters, latency histograms and the
@@ -259,13 +253,6 @@ class Controller : public EventSink
     std::vector<Tick> ctxFreeAt;
 
     /**
-     * Commands submitted but not yet arrived. HostArrival events fire
-     * in submission order (arrivals are nondecreasing and the engine
-     * tie-breaks FIFO), so a ring replaces per-event captures.
-     */
-    RingBuffer<HostCommand> arrivals;
-
-    /**
      * Commands between admission and dispatch-done, addressed by the
      * slab index carried in the DispatchDone event's ctx payload.
      * At most `depth` slots ever exist.
@@ -277,9 +264,6 @@ class Controller : public EventSink
 
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
-
-    /** Event-heap capacity already requested (doubling growth). */
-    std::size_t eventReserve = 0;
 
     /**
      * Out-of-order completion tracking. The drain only ever consumes
@@ -295,7 +279,11 @@ class Controller : public EventSink
     /** A StatsSample event is pending in the engine. */
     bool samplerArmed = false;
 
-    /** The admission pump has more input (see setInputOpen). */
+    /**
+     * Opened by submit, closed by drain. While open, the sampler
+     * chain stays armed across idle gaps, so every epoch row spans
+     * one interval however sparse the arrivals.
+     */
     bool inputOpen = false;
 
     ControllerStats cstats;

@@ -1,7 +1,6 @@
 #include "sim/event.hh"
 
 #include <algorithm>
-#include <limits>
 
 namespace zombie
 {
@@ -48,98 +47,53 @@ EventEngine::heapPopMin(std::vector<Event> &h)
 }
 
 const EventEngine::Event *
-EventEngine::peekNext(int &lane_out) const
+EventEngine::peek(bool &from_fifo) const
 {
-    lane_out = -1;
-    const Event *best = heap.empty() ? nullptr : &heap[0];
-    for (std::uint32_t l = 0; l < kMonotoneLanes; ++l) {
-        if (lanes[l].empty())
-            continue;
-        const Event &front = lanes[l].front();
-        if (!best || before(front, *best)) {
-            best = &front;
-            lane_out = static_cast<int>(l);
-        }
-    }
-    return best;
+    // The FIFO's front is its minimum (monotone pushes, ascending
+    // seqs), so one comparison against the heap top finds the
+    // earliest event.
+    from_fifo = !fifo.empty() &&
+                (heap.empty() || before(fifo.front(), heap[0]));
+    if (from_fifo)
+        return &fifo.front();
+    return heap.empty() ? nullptr : &heap[0];
 }
 
 void
-EventEngine::dispatch(const Event &ev_ref, int lane)
+EventEngine::fire(const Event &ev_ref, bool from_fifo)
 {
     // Copy before popping: ev_ref points into the storage being
     // popped, and the handler may grow the heap (reallocation).
     const Event ev = ev_ref;
-    if (lane < 0)
-        heapPopMin(heap);
+    if (from_fifo)
+        fifo.pop_front();
     else
-        lanes[lane].pop_front();
+        heapPopMin(heap);
     current = ev.when;
     ++fired;
     target->event(ev.when, ev.kind, ev.ctx, ev.arg);
 }
 
 void
-EventEngine::step()
-{
-    zombie_assert(target, "step() with no event sink attached");
-    int lane = -1;
-    const Event *next = peekNext(lane);
-    zombie_assert(next, "step() on an empty event queue");
-    dispatch(*next, lane);
-}
-
-void
 EventEngine::run()
 {
-    runBounded(std::numeric_limits<Tick>::max(),
-               std::numeric_limits<std::uint64_t>::max());
+    zombie_assert(target, "run() with no event sink attached");
+    bool from_fifo = false;
+    while (const Event *next = peek(from_fifo))
+        fire(*next, from_fifo);
 }
 
 void
 EventEngine::runBefore(Tick when)
 {
-    // The bound is the (when, seq) the next arrival-lane push will
-    // receive: everything that sorts before it fires, everything at
-    // or after it stays pending until that arrival is submitted.
-    runBounded(when, arrivalSeq);
-}
-
-void
-EventEngine::runBounded(Tick bound_when, std::uint64_t bound_seq)
-{
-    zombie_assert(target, "run() with no event sink attached");
-    const Event bound{bound_when, bound_seq, 0, 0,
-                      EventKind::HostArrival};
-    for (;;) {
-        int lane = -1;
-        const Event *next = peekNext(lane);
-        if (!next || !before(*next, bound))
-            return;
-        dispatch(*next, lane);
-    }
-}
-
-void
-EventEngine::runUntil(Tick until)
-{
-    for (;;) {
-        int lane = -1;
-        const Event *next = peekNext(lane);
-        if (!next || next->when > until)
-            break;
-        step();
-    }
-    current = std::max(current, until);
-}
-
-Tick
-EventEngine::nextAt() const
-{
-    int lane = -1;
-    const Event *next = peekNext(lane);
-    zombie_assert(next, "nextAt() on an empty event queue");
-    return next->when;
+    zombie_assert(target, "runBefore() with no event sink attached");
+    zombie_assert(when >= current, "runBefore() into the past (",
+                  when, " < ", current, ")");
+    bool from_fifo = false;
+    for (const Event *next = peek(from_fifo);
+         next && next->when < when; next = peek(from_fifo))
+        fire(*next, from_fifo);
+    current = when;
 }
 
 } // namespace zombie

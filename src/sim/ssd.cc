@@ -289,15 +289,8 @@ Ssd::run(TraceSource &source)
     if (!prefilled && cfg.prefillFraction > 0.0)
         prefill();
     TraceRecord rec;
-    controller_.setInputOpen(true);
-    while (source.next(rec)) {
-        // Service the past before admitting the future: everything
-        // ordered strictly before this arrival's (when, seq) key has
-        // fired, so the arrivals ring holds only in-flight commands.
-        engine.runBefore(rec.arrival);
+    while (source.next(rec))
         process(rec);
-    }
-    controller_.setInputOpen(false);
     drain();
 }
 

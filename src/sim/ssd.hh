@@ -6,8 +6,8 @@
  * array, content engines), the timing components (EventEngine,
  * ResourceModel, read cache) and the Controller pipeline that
  * connects them (see sim/controller.hh for the stage-by-stage
- * model). Requests are submitted through the host interface and
- * serviced when the engine drains; Ssd assembles the run's
+ * model). Each request is admitted at its arrival tick once the
+ * engine has serviced everything before it; Ssd assembles the run's
  * SimResult from the controller, FTL and flash-array counters.
  */
 
@@ -124,24 +124,18 @@ class Ssd
     void prefill();
 
     /**
-     * Submit one timed request to the host interface. Requests are
-     * serviced when the pipeline drains (drain(), run() or
-     * result()).
+     * The admission pump's single step: fire every event scheduled
+     * before rec.arrival, set the engine clock to that tick and
+     * admit @p rec there. Arrivals must be nondecreasing; one before
+     * the engine's clock panics. The pipeline holds only the
+     * in-flight window of commands.
      */
     void process(const TraceRecord &rec);
 
     /**
-     * The admission pump: service a trace streamed from @p source
-     * with bounded memory (prefill() first if configured). Before
-     * each record is admitted, the engine services everything
-     * scheduled strictly before the record's arrival, so at most the
-     * genuinely-concurrent window of commands is ever buffered.
-     * Byte-identical to submitting every record through process()
-     * and draining once — arrival events draw sequence numbers from
-     * a dedicated low band, so every event's (when, seq) dispatch
-     * key is the same whether arrivals are all scheduled up front or
-     * admitted as the clock reaches them, and the epoch sampler
-     * stays armed while input remains (DESIGN.md section 7.16).
+     * The admission pump: prefill() if configured, process() every
+     * record streamed from @p source, then drain() (DESIGN.md
+     * section 7.16).
      */
     void run(TraceSource &source);
 

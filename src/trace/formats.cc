@@ -209,6 +209,10 @@ FiuBlkioSource::parseLine(std::string_view line, RawIoRecord &out)
         fail("expected 8 or 9 columns, got " + std::to_string(n),
              line);
     rawTimestamp = parseUint(f[0], line);
+    // pid, major and minor are unused, but a line whose numeric
+    // columns do not parse is malformed (a non-space byte can glue
+    // the MD5 to the minor column).
+    parseUint(f[1], line);
     const std::uint64_t lba = parseUint(f[3], line);
     const std::uint64_t sectors = parseUint(f[4], line);
     if (f[5].size() != 1)
@@ -225,6 +229,8 @@ FiuBlkioSource::parseLine(std::string_view line, RawIoRecord &out)
       default:
         fail("bad op '" + std::string(f[5]) + "'", line);
     }
+    parseUint(f[6], line);
+    parseUint(f[7], line);
     out.offset = toBytes(lba, 512, line);
     out.length = toBytes(sectors, 512, line);
     if (n == 9) {

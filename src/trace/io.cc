@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstring>
 
+#include "trace/formats.hh"
 #include "util/logging.hh"
 
 namespace zombie
@@ -179,6 +180,7 @@ TraceReader::next(TraceRecord &out)
         std::memcpy(out.fp.bytes.data(), packed.fp, 16);
         out.tenant = static_cast<std::uint16_t>(
             packed.tenant_lo | (packed.tenant_hi << 8));
+        checkRecord(out, out.tenant);
         return true;
     }
 
@@ -231,14 +233,35 @@ TraceReader::next(TraceRecord &out)
         else
             out.valueId = parse_u64(vid_text, "value id");
         const std::string_view tenant_tok = takeField(text, cursor);
-        out.tenant =
-            tenant_tok.empty()
-                ? 0
-                : static_cast<std::uint16_t>(
-                      parse_u64(tenant_tok, "tenant"));
+        const std::uint64_t tenant =
+            tenant_tok.empty() ? 0 : parse_u64(tenant_tok, "tenant");
+        checkRecord(out, tenant);
+        out.tenant = static_cast<std::uint16_t>(tenant);
         return true;
     }
     return false;
+}
+
+void
+TraceReader::checkRecord(const TraceRecord &rec, std::uint64_t tenant)
+{
+    // Tenant ids above the ceiling alias another namespace once
+    // narrowed, the adapters' (tenant << 48) | lpn keys stay disjoint
+    // only below kMaxTracePages, and the admission pump needs
+    // nondecreasing arrivals.
+    const char *where =
+        fmt == TraceFormat::Binary ? " at record " : " at line ";
+    if (tenant >= kMaxTenants)
+        zombie_fatal("tenant ", tenant, where, line, " in ", path_,
+                     " (tenant ids run below ", kMaxTenants, ")");
+    if (rec.lpn >= kMaxTracePages)
+        zombie_fatal("lpn ", rec.lpn, where, line, " in ", path_,
+                     " is past the 2^40-page range");
+    if (rec.arrival < lastArrival)
+        zombie_fatal("arrival ", rec.arrival, where, line, " in ",
+                     path_, " precedes the previous record's ",
+                     lastArrival);
+    lastArrival = rec.arrival;
 }
 
 std::vector<TraceRecord>

@@ -58,13 +58,20 @@ class TraceWriter
  * replay transparently; text lines come from the zero-copy buffered
  * reader (CRLF-tolerant), binary records from a chunked refill
  * buffer — no istream machinery on the per-record path.
+ *
+ * A record the simulator cannot replay is malformed in either form:
+ * a tenant id at or past kMaxTenants, an LPN at or past
+ * kMaxTracePages, or an arrival before the previous record's.
  */
 class TraceReader : public TraceSource
 {
   public:
     explicit TraceReader(const std::string &path);
 
-    /** @return false at end of trace; fatal on malformed input. */
+    /**
+     * @return false at end of trace; fatal, naming the file and the
+     * line (text) or record index (binary), on malformed input.
+     */
     bool next(TraceRecord &out) override;
 
     /** Drain the remainder of the trace. */
@@ -75,6 +82,10 @@ class TraceReader : public TraceSource
   private:
     /** Refill the binary chunk buffer; @return bytes available. */
     std::size_t binAvail(std::size_t need);
+
+    /** Fatal unless the decoded fields fit the simulator (see the
+     *  class comment); @p tenant is checked before narrowing. */
+    void checkRecord(const TraceRecord &rec, std::uint64_t tenant);
 
     /** Binary-record byte stream; null in text mode. */
     std::unique_ptr<ByteSource> bin;
@@ -88,6 +99,7 @@ class TraceReader : public TraceSource
     std::string path_;
     TraceFormat fmt;
     std::uint64_t line = 0;
+    Tick lastArrival = 0;
 };
 
 /** Convenience: write a whole trace in one call. */

@@ -12,16 +12,12 @@
  * resource model rather than pool-internal bookkeeping; the later
  * cells add the dead-value pool and the dedup store.
  *
- * Every cell drives Ssd::process plus drain: the whole replay is
- * submitted before the drain, so the submit-time event reserve
- * pre-sizes the event heap to the whole replay. The zero covers
- * that loop only. The admission pump every program runs, Ssd::run,
- * keeps arrivals within the in-flight window, and its event heap
- * still grows when that window peaks higher: replaying the 12K mail
- * Baseline cell of the depth tests three times through the pump, a
- * probe measured 3 allocations in the third replay at depth 1 and 2
- * at depth 32, all of them event-heap growth (DESIGN.md section
- * 7.10, ROADMAP open items).
+ * Every cell drives Ssd::process, the admission pump's step, then
+ * drains, so the zero covers the pump every program runs: the event
+ * heap holds only the in-flight window, and once the warm-up replays
+ * have taken it to its high-water mark it never regrows. Each replay
+ * starts one tick after the previous one's last completion, the
+ * latest tick any command or GC chain of it reached.
  */
 
 #include <gtest/gtest.h>
@@ -51,11 +47,11 @@ steadyStateAllocs(std::uint32_t queue_depth,
     const auto records = SyntheticTraceGenerator(profile).generateAll();
     const Tick first = records.front().arrival;
 
-    // Replay the trace with arrivals shifted past the drained clock
-    // so the request stream (and hence every queue's occupancy
-    // profile) repeats identically.
+    // Replay the trace with arrivals shifted past the previous
+    // replay's last completion so the request stream (and hence
+    // every queue's occupancy profile) repeats identically.
     const auto replay = [&ssd, &records, first]() {
-        const Tick base = ssd.events().now() + 1;
+        const Tick base = ssd.pipeline().stats().lastCompletion + 1;
         for (const TraceRecord &rec : records) {
             TraceRecord shifted = rec;
             shifted.arrival = base + (rec.arrival - first);
@@ -119,7 +115,7 @@ TEST(AllocRegression, SteadyStateIsAllocationFreeUnderDvpChurn)
     const auto records = SyntheticTraceGenerator(profile).generateAll();
     const Tick first = records.front().arrival;
     const auto replay = [&ssd, &records, first]() {
-        const Tick base = ssd.events().now() + 1;
+        const Tick base = ssd.pipeline().stats().lastCompletion + 1;
         for (const TraceRecord &rec : records) {
             TraceRecord shifted = rec;
             shifted.arrival = base + (rec.arrival - first);
@@ -166,7 +162,7 @@ TEST(AllocRegression, SteadyStateIsAllocationFreeWithTwoTenants)
     const auto records = gen.generateAll();
     const Tick first = records.front().arrival;
     const auto replay = [&ssd, &records, first]() {
-        const Tick base = ssd.events().now() + 1;
+        const Tick base = ssd.pipeline().stats().lastCompletion + 1;
         for (const TraceRecord &rec : records) {
             TraceRecord shifted = rec;
             shifted.arrival = base + (rec.arrival - first);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the typed deterministic event engine: tick ordering,
- * stable FIFO tie-breaking, scheduling from the sink, runUntil /
- * nextAt boundary semantics, and the past-schedule guard — the
- * properties same-seed byte-identity rests on.
+ * stable FIFO tie-breaking across the heap and the dispatch FIFO,
+ * scheduling from the sink, runBefore's boundary semantics, and the
+ * past-schedule guards — the properties same-seed byte-identity
+ * rests on.
  */
 
 #include <gtest/gtest.h>
@@ -57,9 +58,9 @@ TEST(EventEngine, FiresInTickOrder)
     EventEngine engine;
     RecordingSink sink;
     engine.setSink(&sink);
-    engine.schedule(300, EventKind::GcTail, 0, 3);
-    engine.schedule(100, EventKind::GcTail, 0, 1);
-    engine.schedule(200, EventKind::GcTail, 0, 2);
+    engine.schedule(300, EventKind::FlashDone, 0, 3);
+    engine.schedule(100, EventKind::FlashDone, 0, 1);
+    engine.schedule(200, EventKind::FlashDone, 0, 2);
     engine.run();
     EXPECT_EQ(argsOf(sink), (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(engine.now(), 300u);
@@ -103,10 +104,10 @@ TEST(EventEngine, SinkMayScheduleAtCurrentTick)
     sink.hook = [&](Tick now, EventKind, std::uint32_t,
                     std::uint64_t arg) {
         if (arg == 0)
-            engine.schedule(now, EventKind::GcTail, 0, 2);
+            engine.schedule(now, EventKind::FlashDone, 0, 2);
     };
-    engine.schedule(10, EventKind::GcTail, 0, 0);
-    engine.schedule(10, EventKind::GcTail, 0, 1);
+    engine.schedule(10, EventKind::FlashDone, 0, 0);
+    engine.schedule(10, EventKind::FlashDone, 0, 1);
     engine.run();
     EXPECT_EQ(argsOf(sink), (std::vector<std::uint64_t>{0, 1, 2}));
 }
@@ -119,9 +120,9 @@ TEST(EventEngine, SinkChainsFutureEvents)
     sink.hook = [&](Tick now, EventKind, std::uint32_t,
                     std::uint64_t) {
         if (sink.fired.size() < 4)
-            engine.schedule(now + 5, EventKind::GcTail, 0, 0);
+            engine.schedule(now + 5, EventKind::FlashDone, 0, 0);
     };
-    engine.schedule(0, EventKind::GcTail, 0, 0);
+    engine.schedule(0, EventKind::FlashDone, 0, 0);
     engine.run();
     std::vector<Tick> when;
     for (const auto &f : sink.fired)
@@ -130,51 +131,43 @@ TEST(EventEngine, SinkChainsFutureEvents)
     EXPECT_TRUE(engine.empty());
 }
 
-TEST(EventEngine, RunUntilIsInclusiveAndAdvancesNow)
+TEST(EventEngine, FifoAndHeapInterleaveInScheduleOrder)
 {
+    // Same-tick events alternate between the FIFO and the heap; the
+    // one sequence counter orders them as one heap would.
     EventEngine engine;
     RecordingSink sink;
     engine.setSink(&sink);
-    for (Tick t : {10u, 20u, 30u})
-        engine.schedule(t, EventKind::HostArrival, 0, t);
-    engine.runUntil(20);
-    EXPECT_EQ(argsOf(sink), (std::vector<std::uint64_t>{10, 20}));
-    EXPECT_EQ(engine.pending(), 1u);
-    EXPECT_EQ(engine.nextAt(), 30u);
-
-    // An empty window still advances the clock.
-    engine.runUntil(25);
-    EXPECT_EQ(engine.now(), 25u);
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        if (i % 2 == 0)
+            engine.scheduleFifo(40, EventKind::DispatchDone, 0, i);
+        else
+            engine.schedule(40, EventKind::FlashDone, 0, i);
+    }
     engine.run();
+    EXPECT_EQ(argsOf(sink),
+              (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(EventEngine, RunBeforeFiresEarlierEventsAndSetsNow)
+{
+    EventEngine engine;
+    RecordingSink sink;
+    engine.setSink(&sink);
+    engine.scheduleFifo(10, EventKind::DispatchDone, 0, 10);
+    engine.schedule(19, EventKind::FlashDone, 0, 19);
+    engine.scheduleFifo(20, EventKind::DispatchDone, 0, 20);
+    engine.schedule(20, EventKind::FlashDone, 0, 21);
+    engine.schedule(30, EventKind::StatsSample, 0, 30);
+
+    engine.runBefore(20);
+    EXPECT_EQ(argsOf(sink), (std::vector<std::uint64_t>{10, 19}));
+    EXPECT_EQ(engine.now(), 20u);
+
+    engine.run();
+    EXPECT_EQ(argsOf(sink),
+              (std::vector<std::uint64_t>{10, 19, 20, 21, 30}));
     EXPECT_EQ(engine.now(), 30u);
-}
-
-TEST(EventEngine, RunUntilExactBoundaryFiresTheBoundaryEvent)
-{
-    EventEngine engine;
-    RecordingSink sink;
-    engine.setSink(&sink);
-    engine.schedule(100, EventKind::GcTail, 0, 0);
-    engine.runUntil(99);
-    EXPECT_EQ(sink.fired.size(), 0u);
-    EXPECT_EQ(engine.now(), 99u);
-    engine.runUntil(100); // inclusive: the tick-100 event fires
-    EXPECT_EQ(sink.fired.size(), 1u);
-    EXPECT_TRUE(engine.empty());
-}
-
-TEST(EventEngineDeathTest, NextAtOnEmptyPanics)
-{
-    EventEngine engine;
-    EXPECT_DEATH(engine.nextAt(), "empty");
-}
-
-TEST(EventEngineDeathTest, StepOnEmptyPanics)
-{
-    EventEngine engine;
-    RecordingSink sink;
-    engine.setSink(&sink);
-    EXPECT_DEATH(engine.step(), "empty");
 }
 
 TEST(EventEngineDeathTest, SchedulingInThePastPanics)
@@ -182,9 +175,19 @@ TEST(EventEngineDeathTest, SchedulingInThePastPanics)
     EventEngine engine;
     RecordingSink sink;
     engine.setSink(&sink);
-    engine.schedule(100, EventKind::GcTail, 0, 0);
+    engine.schedule(100, EventKind::FlashDone, 0, 0);
     engine.run();
-    EXPECT_DEATH(engine.schedule(50, EventKind::GcTail, 0, 0), "past");
+    EXPECT_DEATH(engine.schedule(50, EventKind::FlashDone, 0, 0), "past");
+}
+
+TEST(EventEngineDeathTest, RunBeforeIntoThePastPanics)
+{
+    EventEngine engine;
+    RecordingSink sink;
+    engine.setSink(&sink);
+    engine.schedule(100, EventKind::FlashDone, 0, 0);
+    engine.run();
+    EXPECT_DEATH(engine.runBefore(50), "past");
 }
 
 TEST(EventEngine, IdenticalScheduleIsDeterministic)
@@ -214,7 +217,7 @@ TEST(EventEngine, ReserveDoesNotPerturbOrder)
     engine.setSink(&sink);
     engine.reserve(64);
     for (std::uint64_t i = 0; i < 16; ++i)
-        engine.schedule(5, EventKind::GcTail, 0, i);
+        engine.schedule(5, EventKind::FlashDone, 0, i);
     engine.run();
     std::vector<std::uint64_t> expect;
     for (std::uint64_t i = 0; i < 16; ++i)

@@ -175,6 +175,32 @@ TEST_F(TraceFormatsTest, FiuNonCLocaleSpaceBytesStayInTheColumn)
     }
 }
 
+// The pid, major and minor columns are unused but must parse as
+// unsigned integers.
+
+TEST_F(TraceFormatsTest, FiuMd5GluedToMinorColumnIsFatal)
+{
+    // 0xA0 is no C-locale space, so the MD5 joins the minor column
+    // and the line has 8 columns.
+    writeFile("1000 42 maild 16 8 W 8 0\xa0"
+              "0123456789abcdef0123456789abcdef\n");
+    FiuBlkioSource src(tempPath());
+    RawIoRecord rec;
+    EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                "formats\\.trc:1 \\(expected unsigned integer, got "
+                "'0");
+}
+
+TEST_F(TraceFormatsTest, FiuNonNumericMajorMinorIsFatal)
+{
+    writeFile("1010 42 maild 16 8 W x y\n");
+    FiuBlkioSource src(tempPath());
+    RawIoRecord rec;
+    EXPECT_EXIT((void)src.next(rec), testing::ExitedWithCode(1),
+                "formats\\.trc:1 \\(expected unsigned integer, got "
+                "'x'");
+}
+
 // A hostile extent or timestamp ends in a fatal naming the file and
 // line, never in a panic or a value that wrapped past 2^64.
 

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "temp_path.hh"
+#include "trace/formats.hh"
 #include "trace/generator.hh"
 #include "trace/io.hh"
 
@@ -243,6 +244,100 @@ TEST_F(TraceIoTest, TruncatedBinaryIsFatal)
             }
         },
         testing::ExitedWithCode(1), "truncated.*record 4");
+}
+
+// A record the simulator cannot replay ends in a fatal naming the
+// file and the line (text) or record index (binary), in either form.
+
+/** Read @p reader to the end; fatal records exit inside. */
+void
+readToEnd(TraceReader &reader)
+{
+    TraceRecord rec;
+    while (reader.next(rec)) {
+    }
+}
+
+/** A tenant-0 write of value 1 to page 0 at @p arrival. */
+TraceRecord
+plainWrite(Tick arrival)
+{
+    TraceRecord rec;
+    rec.arrival = arrival;
+    rec.op = OpType::Write;
+    rec.lpn = 0;
+    rec.fp = Fingerprint::fromValueId(1);
+    return rec;
+}
+
+TEST_F(TraceIoTest, TextTenantPastCeilingIsFatal)
+{
+    {
+        std::ofstream out(tempPath());
+        const std::string fp = Fingerprint::fromValueId(1).hex();
+        out << "1 W 0 " << fp << " 1\n";
+        out << "2 W 0 " << fp << " 1 65537\n"; // not tenant 1
+    }
+    TraceReader reader(tempPath());
+    EXPECT_EXIT(readToEnd(reader), testing::ExitedWithCode(1),
+                "tenant 65537 at line 2 in .*io\\.trc");
+}
+
+TEST_F(TraceIoTest, BinaryTenantPastCeilingIsFatal)
+{
+    TraceRecord second = plainWrite(0);
+    second.tenant = kMaxTenants;
+    writeTraceFile(tempPath(), TraceFormat::Binary,
+                   {plainWrite(0), second});
+    TraceReader reader(tempPath());
+    EXPECT_EXIT(readToEnd(reader), testing::ExitedWithCode(1),
+                "tenant 16 at record 2 in .*io\\.trc");
+}
+
+TEST_F(TraceIoTest, TextArrivalBeforePreviousIsFatal)
+{
+    {
+        std::ofstream out(tempPath());
+        const std::string fp = Fingerprint::fromValueId(1).hex();
+        out << "200 W 0 " << fp << " 1\n";
+        out << "100 W 1 " << fp << " 1\n";
+    }
+    TraceReader reader(tempPath());
+    EXPECT_EXIT(readToEnd(reader), testing::ExitedWithCode(1),
+                "arrival 100 at line 2 in .*io\\.trc precedes the "
+                "previous record's 200");
+}
+
+TEST_F(TraceIoTest, BinaryArrivalBeforePreviousIsFatal)
+{
+    writeTraceFile(tempPath(), TraceFormat::Binary,
+                   {plainWrite(200), plainWrite(100)});
+    TraceReader reader(tempPath());
+    EXPECT_EXIT(readToEnd(reader), testing::ExitedWithCode(1),
+                "arrival 100 at record 2 in .*io\\.trc precedes the "
+                "previous record's 200");
+}
+
+TEST_F(TraceIoTest, TextLpnPast2To40IsFatal)
+{
+    {
+        std::ofstream out(tempPath());
+        out << "0 W 1099511627776 " << Fingerprint::fromValueId(1).hex()
+            << " 1\n"; // page 2^40
+    }
+    TraceReader reader(tempPath());
+    EXPECT_EXIT(readToEnd(reader), testing::ExitedWithCode(1),
+                "lpn 1099511627776 at line 1 in .*io\\.trc");
+}
+
+TEST_F(TraceIoTest, BinaryLpnPast2To40IsFatal)
+{
+    TraceRecord first = plainWrite(0);
+    first.lpn = kMaxTracePages;
+    writeTraceFile(tempPath(), TraceFormat::Binary, {first});
+    TraceReader reader(tempPath());
+    EXPECT_EXIT(readToEnd(reader), testing::ExitedWithCode(1),
+                "lpn 1099511627776 at record 1 in .*io\\.trc");
 }
 
 TEST(TraceIoDeath, MissingFileIsFatal)
