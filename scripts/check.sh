@@ -236,6 +236,31 @@ for preset in $presets; do
     diff -u tests/golden/smoke/replay_fiu_dedup.txt \
         "$bindir/replay_fiu_dedup.smoke.txt"
 
+    # Drive ceiling: the page tables store page numbers in 32 bits,
+    # so a drive of more than 2^32 - 1 pages is a user error. A
+    # --no-compact replay sizes its drive from the largest LPN, so
+    # one record at page 2^39 - 1, in the native and in the generic
+    # CSV format, must end in the ceiling's zombie_fatal (exit 1),
+    # not in std::bad_alloc.
+    echo "==> drive ceiling [$preset]"
+    printf '0 W 549755813887 0123456789abcdef0123456789abcdef 1\n' \
+        > /tmp/zombie_ceiling.native
+    printf '549755813887,4096,W,0\n' > /tmp/zombie_ceiling.csv
+    for fmt in native csv; do
+        status=0
+        "$bindir"/examples/simulate_trace \
+            --trace-file "/tmp/zombie_ceiling.$fmt" \
+            --trace-format "$fmt" --no-compact \
+            > /dev/null 2> "$bindir/ceiling.$fmt.err" || status=$?
+        if [ "$status" -ne 1 ] || ! grep -q \
+            'pages exceeds the 4294967295-page ceiling' \
+            "$bindir/ceiling.$fmt.err"; then
+            echo "drive ceiling [$fmt]: exit $status, stderr:" >&2
+            cat "$bindir/ceiling.$fmt.err" >&2
+            exit 1
+        fi
+    done
+
     # Scan-once grid smoke: a 2x2 sweep from the (now gzipped)
     # fixture, two cells at a time. Deterministic like everything
     # else — the whole stdout (per-cell stats and summary table)

@@ -19,7 +19,7 @@ FingerprintStore::lookup(const Fingerprint &fp)
     auto it = byFp.find(fp);
     if (it == byFp.end())
         return std::nullopt;
-    return it->second.ppn;
+    return widenPage(it->second.ppn);
 }
 
 const FingerprintStore::Entry *
@@ -32,7 +32,8 @@ FingerprintStore::find(const Fingerprint &fp) const
 void
 FingerprintStore::registerPage(const Fingerprint &fp, Ppn ppn)
 {
-    const bool fresh = byFp.insert({fp, Entry{ppn, 1, 1}}).second;
+    const bool fresh =
+        byFp.insert({fp, Entry{narrowPage(ppn), 1, 1}}).second;
     zombie_assert(fresh, "fingerprint already live: ", fp.hex());
     ++dstats.registered;
 }
@@ -72,7 +73,7 @@ FingerprintStore::relocate(const Fingerprint &fp, Ppn to)
     auto it = byFp.find(fp);
     zombie_assert(it != byFp.end(), "relocate of untracked content ",
                   fp.hex());
-    it->second.ppn = to;
+    it->second.ppn = narrowPage(to);
 }
 
 std::uint32_t

@@ -55,7 +55,7 @@ class FingerprintStore
     /** Live state of one content fingerprint. */
     struct Entry
     {
-        Ppn ppn = 0;
+        StoredPage ppn = 0; //!< narrowPage of the live PPN
         std::uint32_t refs = 0;
         std::uint8_t pop = 0;
     };

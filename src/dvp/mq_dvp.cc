@@ -187,7 +187,7 @@ void
 MqDvp::removeEntry(std::uint32_t h)
 {
     Entry &e = entries[h];
-    for (Ppn ppn : e.ppns)
+    for (const StoredPage ppn : e.ppns)
         ppnIndex.erase(ppn);
     index.erase(e.fp);
     unlink(h);
@@ -285,9 +285,9 @@ MqDvp::lookupForWrite(const Fingerprint &fp, Lpn)
     zombie_assert(!e.ppns.empty(), "pool entry without dead PPNs");
 
     // Revive the most recently deceased copy.
-    const Ppn ppn = e.ppns.back();
+    const StoredPage stored = e.ppns.back();
     e.ppns.pop_back();
-    ppnIndex.erase(ppn);
+    ppnIndex.erase(stored);
 
     e.pop = saturatingIncrement(e.pop);
     const std::uint8_t pop_after = e.pop;
@@ -303,7 +303,7 @@ MqDvp::lookupForWrite(const Fingerprint &fp, Lpn)
 
     DvpLookupResult result;
     result.hit = true;
-    result.ppn = ppn;
+    result.ppn = widenPage(stored);
     result.popularity = pop_after;
     return result;
 }
@@ -313,14 +313,15 @@ MqDvp::insertGarbage(const Fingerprint &fp, Lpn, Ppn ppn,
                      std::uint8_t pop)
 {
     ++dstats.insertions;
+    const StoredPage stored = narrowPage(ppn);
 
     auto it = index.find(fp);
     if (it != index.end()) {
         const std::uint32_t h = it->second;
         Entry &e = entries[h];
-        e.ppns.push_back(ppn);
+        e.ppns.push_back(stored);
         ppnsHighWater = std::max(ppnsHighWater, e.ppns.capacity());
-        ppnIndex[ppn] = h;
+        ppnIndex[stored] = h;
         // Another copy of this value died; keep the strongest
         // popularity evidence among the copies.
         e.pop = std::max(e.pop, pop);
@@ -336,14 +337,14 @@ MqDvp::insertGarbage(const Fingerprint &fp, Lpn, Ppn ppn,
     const std::uint32_t h = allocEntry();
     Entry &e = entries[h];
     e.fp = fp;
-    e.ppns.push_back(ppn);
+    e.ppns.push_back(stored);
     ppnsHighWater = std::max(ppnsHighWater, e.ppns.capacity());
     e.pop = pop;
     e.lastAccess = clock;
     e.expire = clock + hotInterval();
     pushTail(0, h);
     index[fp] = h;
-    ppnIndex[ppn] = h;
+    ppnIndex[stored] = h;
     ++liveEntries;
     updateHottest(h, e.lastAccess);
 
@@ -353,12 +354,13 @@ MqDvp::insertGarbage(const Fingerprint &fp, Lpn, Ppn ppn,
 void
 MqDvp::onErase(Ppn ppn)
 {
-    auto it = ppnIndex.find(ppn);
+    const StoredPage stored = narrowPage(ppn);
+    auto it = ppnIndex.find(stored);
     if (it == ppnIndex.end())
         return;
     const std::uint32_t h = it->second;
     Entry &e = entries[h];
-    auto pos = std::find(e.ppns.begin(), e.ppns.end(), ppn);
+    auto pos = std::find(e.ppns.begin(), e.ppns.end(), stored);
     zombie_assert(pos != e.ppns.end(), "ppn index out of sync");
     e.ppns.erase(pos);
     ppnIndex.erase(it);

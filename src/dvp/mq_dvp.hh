@@ -136,7 +136,9 @@ class MqDvp : public DeadValuePool
     struct Entry
     {
         Fingerprint fp{};
-        std::vector<Ppn> ppns;
+        /** Dead copies, oldest first (narrowPage); a revival takes
+         *  back(). */
+        std::vector<StoredPage> ppns;
         std::uint64_t expire = 0;
         std::uint64_t lastAccess = 0;
         std::uint8_t pop = 0;
@@ -161,7 +163,8 @@ class MqDvp : public DeadValuePool
     LruSlab<Entry> entries;
     std::vector<LruChain> queues;
     FlatMap<Fingerprint, std::uint32_t, FingerprintHash> index;
-    FlatMap<Ppn, std::uint32_t> ppnIndex;
+    /** Dead PPN (narrowPage) -> entry handle. */
+    FlatMap<StoredPage, std::uint32_t> ppnIndex;
 
     std::uint64_t liveEntries = 0;
     std::uint64_t clock = 0;

@@ -45,8 +45,8 @@ Ftl::attachDedup(FingerprintStore *s)
                   "attach the dedup store before the first write");
     store = s;
     const std::uint64_t links = s ? cfg.logicalPages : 0;
-    ownerNext.assign(links, kInvalidLpn);
-    ownerPrev.assign(links, kInvalidLpn);
+    ownerNext.assign(links, kNoStoredPage);
+    ownerPrev.assign(links, kNoStoredPage);
 }
 
 void
@@ -108,10 +108,10 @@ Ftl::mapNewContent(Lpn lpn, Ppn ppn, const Fingerprint &fp,
         // The new owner heads the chain: map() below makes it the
         // page's reverse entry.
         const Lpn head = map.lpnOf(ppn);
-        ownerNext[lpn] = head;
-        ownerPrev[lpn] = kInvalidLpn;
+        ownerNext[lpn] = narrowPage(head);
+        ownerPrev[lpn] = kNoStoredPage;
         if (head != kInvalidLpn)
-            ownerPrev[head] = lpn;
+            ownerPrev[head] = narrowPage(lpn);
     }
     map.map(lpn, ppn);
     map.setFingerprint(lpn, fp);
@@ -132,8 +132,8 @@ Ftl::mapFreshPage(Lpn lpn, Ppn ppn, const Fingerprint &fp,
 void
 Ftl::unlinkOwner(Lpn lpn, Ppn ppn)
 {
-    const Lpn prev = ownerPrev[lpn];
-    const Lpn next = ownerNext[lpn];
+    const Lpn prev = widenPage(ownerPrev[lpn]);
+    const Lpn next = widenPage(ownerNext[lpn]);
     if (prev == kInvalidLpn) {
         zombie_assert(map.lpnOf(ppn) == lpn, "LPN ", lpn,
                       " missing from the owner chain of ", ppn);
@@ -141,12 +141,12 @@ Ftl::unlinkOwner(Lpn lpn, Ppn ppn)
         if (next != kInvalidLpn)
             map.map(next, ppn);
     } else {
-        zombie_assert(ownerNext[prev] == lpn, "LPN ", lpn,
+        zombie_assert(widenPage(ownerNext[prev]) == lpn, "LPN ", lpn,
                       " missing from the owner chain of ", ppn);
-        ownerNext[prev] = next;
+        ownerNext[prev] = narrowPage(next);
     }
     if (next != kInvalidLpn)
-        ownerPrev[next] = prev;
+        ownerPrev[next] = narrowPage(prev);
 }
 
 HostOpResult
@@ -522,12 +522,12 @@ Ftl::checkOwnerChains() const
         if (head == kInvalidLpn)
             continue;
         ++chains;
-        zombie_assert(ownerPrev[head] == kInvalidLpn, "head LPN ", head,
-                      " of the owner chain of ", ppn,
+        zombie_assert(ownerPrev[head] == kNoStoredPage, "head LPN ",
+                      head, " of the owner chain of ", ppn,
                       " has a predecessor");
         const Fingerprint &fp = map.fingerprintOf(head);
         std::uint32_t length = 0;
-        for (Lpn l = head; l != kInvalidLpn; l = ownerNext[l]) {
+        for (Lpn l = head; l != kInvalidLpn; l = nextOwner(l)) {
             zombie_assert(++members <= mapped, "owner chain of ", ppn,
                           " does not end");
             zombie_assert(map.ppnOf(l) == ppn, "LPN ", l,
@@ -536,16 +536,18 @@ Ftl::checkOwnerChains() const
             zombie_assert(map.fingerprintOf(l) == fp, "LPN ", l,
                           " on the owner chain of ", ppn,
                           " holds other content");
-            const Lpn next = ownerNext[l];
-            zombie_assert(next == kInvalidLpn || ownerPrev[next] == l,
+            const Lpn next = nextOwner(l);
+            zombie_assert(next == kInvalidLpn ||
+                              widenPage(ownerPrev[next]) == l,
                           "broken back link after LPN ", l);
             ++length;
         }
         const FingerprintStore::Entry *entry = store->find(fp);
         zombie_assert(entry, "content of live PPN ", ppn,
                       " missing from the dedup store");
-        zombie_assert(entry->ppn == ppn, "dedup store places ",
-                      fp.hex(), " at ", entry->ppn, " not ", ppn);
+        zombie_assert(widenPage(entry->ppn) == ppn,
+                      "dedup store places ", fp.hex(), " at ",
+                      entry->ppn, " not ", ppn);
         zombie_assert(entry->refs == length, "PPN ", ppn, " has ",
                       length, " owners but refcount ", entry->refs);
     }

@@ -261,7 +261,7 @@ class Ftl
     Lpn
     nextOwner(Lpn lpn) const
     {
-        return store ? ownerNext[lpn] : kInvalidLpn;
+        return store ? widenPage(ownerNext[lpn]) : kInvalidLpn;
     }
 
     void checkOwnerChains() const;
@@ -292,10 +292,11 @@ class Ftl
      * list per live page threaded through two per-LPN arrays, so
      * linking and unlinking an owner are O(1) and allocate nothing.
      * A chain's head is its page's reverse-map entry
-     * (MappingTable::lpnOf). Allocated only when a store is attached.
+     * (MappingTable::lpnOf). Allocated only when a store is attached;
+     * LPNs stored in 32 bits (narrowPage).
      */
-    std::vector<Lpn> ownerNext;
-    std::vector<Lpn> ownerPrev;
+    std::vector<StoredPage> ownerNext;
+    std::vector<StoredPage> ownerPrev;
 
     /** One incremental GC job per plane. */
     std::vector<GcJob> gcJobs;

@@ -5,12 +5,14 @@
 namespace zombie
 {
 
-MappingTable::MappingTable(std::uint64_t logical_pages,
-                           std::uint64_t physical_pages)
-    : forward(logical_pages, kInvalidPpn),
-      reverse(physical_pages, kInvalidLpn),
-      pop(logical_pages, 0),
-      content(logical_pages)
+namespace
+{
+
+/** @return @p logical_pages once the table's sizes pass its checks,
+ *  so the first member initializer runs them before any allocates. */
+std::uint64_t
+checkedLogicalPages(std::uint64_t logical_pages,
+                    std::uint64_t physical_pages)
 {
     if (logical_pages == 0)
         zombie_fatal("mapping table needs a non-empty logical space");
@@ -18,6 +20,20 @@ MappingTable::MappingTable(std::uint64_t logical_pages,
         zombie_fatal("physical space (", physical_pages,
                      " pages) smaller than logical space (",
                      logical_pages, " pages)");
+    checkDrivePages(physical_pages);
+    return logical_pages;
+}
+
+} // namespace
+
+MappingTable::MappingTable(std::uint64_t logical_pages,
+                           std::uint64_t physical_pages)
+    : forward(checkedLogicalPages(logical_pages, physical_pages),
+              kNoStoredPage),
+      reverse(physical_pages, kNoStoredPage),
+      pop(logical_pages, 0),
+      content(logical_pages)
+{
 }
 
 void
@@ -36,14 +52,14 @@ bool
 MappingTable::isMapped(Lpn lpn) const
 {
     checkLpn(lpn);
-    return forward[lpn] != kInvalidPpn;
+    return forward[lpn] != kNoStoredPage;
 }
 
 Ppn
 MappingTable::ppnOf(Lpn lpn) const
 {
     checkLpn(lpn);
-    return forward[lpn];
+    return widenPage(forward[lpn]);
 }
 
 void
@@ -51,21 +67,22 @@ MappingTable::map(Lpn lpn, Ppn ppn)
 {
     checkLpn(lpn);
     checkPpn(ppn);
-    if (forward[lpn] == kInvalidPpn)
+    if (forward[lpn] == kNoStoredPage)
         ++mapped;
-    forward[lpn] = ppn;
-    reverse[ppn] = lpn;
+    forward[lpn] = narrowPage(ppn);
+    reverse[ppn] = narrowPage(lpn);
 }
 
 void
 MappingTable::unmap(Lpn lpn)
 {
     checkLpn(lpn);
-    if (forward[lpn] == kInvalidPpn)
+    const StoredPage ppn = forward[lpn];
+    if (ppn == kNoStoredPage)
         return;
-    if (reverse[forward[lpn]] == lpn)
-        reverse[forward[lpn]] = kInvalidLpn;
-    forward[lpn] = kInvalidPpn;
+    if (reverse[ppn] == narrowPage(lpn))
+        reverse[ppn] = kNoStoredPage;
+    forward[lpn] = kNoStoredPage;
     --mapped;
 }
 
@@ -73,14 +90,14 @@ Lpn
 MappingTable::lpnOf(Ppn ppn) const
 {
     checkPpn(ppn);
-    return reverse[ppn];
+    return widenPage(reverse[ppn]);
 }
 
 void
 MappingTable::clearReverse(Ppn ppn)
 {
     checkPpn(ppn);
-    reverse[ppn] = kInvalidLpn;
+    reverse[ppn] = kNoStoredPage;
 }
 
 std::uint8_t

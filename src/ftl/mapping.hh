@@ -2,6 +2,8 @@
  * @file
  * Page-level LPN-to-PPN mapping table (paper Figure 8).
  *
+ * Both directions store page numbers in 32 bits (StoredPage), so a
+ * table refuses a drive past kMaxDrivePages before it allocates.
  * Besides the forward map, each LPN entry carries the 1-byte
  * popularity degree the paper adds ("not to lose the popularity
  * information of a data block once it is evicted from the dead-value
@@ -29,6 +31,9 @@ namespace zombie
 class MappingTable
 {
   public:
+    /** Fatal on an empty logical space, a physical space smaller
+     *  than it, or one past kMaxDrivePages; all three checks run
+     *  before any table allocates. */
     MappingTable(std::uint64_t logical_pages,
                  std::uint64_t physical_pages);
 
@@ -61,16 +66,16 @@ class MappingTable
     static constexpr std::size_t
     bytesPerEntry()
     {
-        // PPN (8B when fully resident) + 1B popularity.
-        return sizeof(Ppn) + 1;
+        // 32-bit PPN + 1B popularity.
+        return sizeof(StoredPage) + 1;
     }
 
   private:
     void checkLpn(Lpn lpn) const;
     void checkPpn(Ppn ppn) const;
 
-    std::vector<Ppn> forward;
-    std::vector<Lpn> reverse;
+    std::vector<StoredPage> forward; //!< LPN -> PPN
+    std::vector<StoredPage> reverse; //!< PPN -> owner LPN
     std::vector<std::uint8_t> pop;
     std::vector<Fingerprint> content;
     std::uint64_t mapped = 0;

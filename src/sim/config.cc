@@ -235,6 +235,9 @@ SsdConfig::describe() const
 void
 SsdConfig::validate() const
 {
+    // First, so a drive too large for the 32-bit page tables stops
+    // here, before anything sized by it allocates.
+    checkDrivePages(geom.totalPages());
     if (logicalPages == 0)
         zombie_fatal("SsdConfig: logicalPages must be > 0");
     if (logicalPages >= geom.totalPages())

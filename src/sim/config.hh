@@ -182,7 +182,8 @@ struct SsdConfig
     /** One-line human-readable description (bench headers). */
     std::string describe() const;
 
-    /** Fatal on inconsistent settings. */
+    /** Fatal on inconsistent settings, or on a drive of more than
+     *  kMaxDrivePages pages (the 32-bit page tables' ceiling). */
     void validate() const;
 };
 

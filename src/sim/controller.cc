@@ -1,6 +1,7 @@
 #include "sim/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "util/logging.hh"
@@ -41,6 +42,63 @@ FlashScheduler::issue(const FlashStepBuffer &steps, Tick t)
     return FlashIssue{completion, gc_tail};
 }
 
+CompletionRing::CompletionRing(std::uint64_t min_bits)
+    : words(std::bit_ceil(std::max<std::uint64_t>(min_bits, 64)) / 64,
+            0)
+{
+}
+
+bool
+CompletionRing::complete(std::uint64_t idx)
+{
+    zombie_assert(idx >= next, "command ", idx, " completed twice");
+    if (idx != next) {
+        if (idx - next >= capacity())
+            grow(idx - next + 1);
+        words[(idx >> 6) & (words.size() - 1)] |= 1ULL << (idx & 63);
+        return false;
+    }
+    // Step past idx, then past each run of set bits that follows it,
+    // clearing the run; a run reaching a word's end continues in the
+    // next word.
+    const std::uint64_t mask = words.size() - 1;
+    ++next;
+    for (;;) {
+        std::uint64_t &word = words[(next >> 6) & mask];
+        const unsigned bit = next & 63;
+        const unsigned run = std::countr_one(word >> bit);
+        if (run == 0)
+            break;
+        word &= run == 64 ? 0 : ~(((1ULL << run) - 1) << bit);
+        next += run;
+        if (bit + run < 64)
+            break;
+    }
+    return true;
+}
+
+void
+CompletionRing::grow(std::uint64_t span)
+{
+    // A set bit at ring position p stands for the one index in
+    // [next, next + old capacity) congruent to p; re-place each at
+    // that index modulo the new capacity.
+    const std::uint64_t old_bits = capacity();
+    std::vector<std::uint64_t> bigger(
+        std::bit_ceil(std::max(span, 2 * old_bits)) / 64, 0);
+    const std::uint64_t new_mask = bigger.size() * 64 - 1;
+    for (std::uint64_t w = 0; w < words.size(); ++w) {
+        for (std::uint64_t bits = words[w]; bits != 0;
+             bits &= bits - 1) {
+            const std::uint64_t pos = w * 64 + std::countr_zero(bits);
+            const std::uint64_t idx =
+                next + ((pos - next) & (old_bits - 1));
+            bigger[(idx & new_mask) >> 6] |= 1ULL << (idx & 63);
+        }
+    }
+    words = std::move(bigger);
+}
+
 /** Static span-category literals, one per possible tenant (the
  *  TraceSink contract requires static storage). */
 static const char *
@@ -64,7 +122,13 @@ Controller::Controller(const SsdConfig &config, Ftl &ftl_,
               config.arbiterWeights),
       flash(resources, cache), depth(config.queueDepth),
       numTenants(std::max<std::uint32_t>(1, config.tenants)),
-      ctxFreeAt(std::max<std::uint32_t>(1, config.queueDepth), 0)
+      ctxFreeAt(std::max<std::uint32_t>(1, config.queueDepth), 0),
+      // Completion tags free at dispatch, so flash completions
+      // stream out of order without a queue-depth bound: the reorder
+      // window is limited only by how much work the dies hold. Size
+      // the ring for a GC-heavy backlog up front (a wider window
+      // merely doubles it, an allocation, not an error).
+      completions(std::max<std::uint64_t>(8192, 2ull * depth))
 {
     zombie_assert(depth >= 1, "controller needs at least one tag");
     engine.setSink(this);
@@ -87,13 +151,6 @@ Controller::Controller(const SsdConfig &config, Ftl &ftl_,
         }
         tstats.resize(numTenants);
     }
-    // Completion tags free at dispatch, so flash completions stream
-    // out-of-order without a queue-depth bound: the reorder window
-    // is limited only by how much work the dies can hold. Reserve
-    // for a GC-heavy backlog up front (a deeper window would merely
-    // regrow the heap, costing an allocation, not correctness).
-    completedAhead.reserve(std::max<std::size_t>(
-        8192, 2ul * depth));
     // At most one DispatchDone per tag is ever pending. The heap
     // holds the in-flight FlashDone events and one StatsSample; a
     // GC-heavy reorder window regrows it during warm-up (an
@@ -180,13 +237,9 @@ void
 Controller::tryDispatch(Tick now)
 {
     while (waitingNow > 0) {
-        // Earliest-free context; stable lowest-index tie-break.
-        std::uint32_t best = 0;
-        for (std::uint32_t k = 1; k < depth; ++k) {
-            if (ctxFreeAt[k] < ctxFreeAt[best])
-                best = k;
-        }
-        if (ctxFreeAt[best] > now)
+        // The FIFO head is the earliest-free context.
+        Tick &free_at = ctxFreeAt[oldestTag];
+        if (free_at > now)
             return; // every tag busy; retried at next dispatch-done
 
         // The arbiter names the queue this tag serves. A tenant is
@@ -208,13 +261,13 @@ Controller::tryDispatch(Tick now)
             hqTotal.admissionWait += now - cmd.rec.arrival;
         }
         ++tenantTags[t];
-        ctxFreeAt[best] = now + cfg.timing.ftlOverhead;
+        free_at = now + cfg.timing.ftlOverhead;
+        oldestTag = oldestTag + 1 == depth ? 0 : oldestTag + 1;
         const std::uint32_t slot = inDispatch.acquire();
         inDispatch[slot] = cmd;
         // Dispatch-done ticks are `now + ftlOverhead` with `now`
         // monotone, so they ride the O(1) FIFO.
-        engine.scheduleFifo(ctxFreeAt[best], EventKind::DispatchDone,
-                            slot);
+        engine.scheduleFifo(free_at, EventKind::DispatchDone, slot);
     }
 }
 
@@ -281,24 +334,10 @@ void
 Controller::onCompletion(std::uint64_t idx)
 {
     ++completed;
-    if (idx == nextInOrder) {
-        ++nextInOrder;
-        while (!completedAhead.empty() &&
-               completedAhead.front() == nextInOrder) {
-            ++nextInOrder;
-            std::pop_heap(completedAhead.begin(),
-                          completedAhead.end(),
-                          std::greater<std::uint64_t>());
-            completedAhead.pop_back();
-        }
-    } else {
-        // An earlier-submitted command is still in flight on a
-        // slower die: this completion overtook it.
+    // Out of order: an earlier-submitted command is still in flight
+    // on a slower die, and this completion overtook it.
+    if (!completions.complete(idx))
         ++cstats.oooCompletions;
-        completedAhead.push_back(idx);
-        std::push_heap(completedAhead.begin(), completedAhead.end(),
-                       std::greater<std::uint64_t>());
-    }
 }
 
 void

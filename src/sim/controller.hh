@@ -104,6 +104,42 @@ class FlashScheduler
     ReadCache &readCache;
 };
 
+/**
+ * In-order completion tracking over a ring of bits. Commands are
+ * numbered in submission order. A completion that overtakes an older
+ * outstanding command sets its bit (index mod capacity); the
+ * in-order one advances nextInOrder() past it and every set bit that
+ * follows, clearing them. The ring doubles, re-laying its bits out,
+ * when a completion lands a full capacity ahead, so a ring sized at
+ * construction keeps the steady state allocation-free.
+ */
+class CompletionRing
+{
+  public:
+    /** A ring of at least @p min_bits (rounded up to a power of two
+     *  of at least 64). */
+    explicit CompletionRing(std::uint64_t min_bits);
+
+    /**
+     * Record command @p idx's completion (each index once, none below
+     * nextInOrder()). @return true when it was the oldest command
+     * still outstanding.
+     */
+    bool complete(std::uint64_t idx);
+
+    /** Oldest command not yet completed. */
+    std::uint64_t nextInOrder() const { return next; }
+
+    /** Indices the ring can hold ahead of nextInOrder(). */
+    std::uint64_t capacity() const { return words.size() * 64; }
+
+  private:
+    void grow(std::uint64_t span);
+
+    std::vector<std::uint64_t> words; //!< power-of-two count
+    std::uint64_t next = 0;
+};
+
 /** Aggregate pipeline counters for one run. */
 struct ControllerStats
 {
@@ -249,8 +285,14 @@ class Controller : public EventSink
     /** Per-tenant counters; empty unless numTenants > 1. */
     std::vector<TenantResult> tstats;
 
-    /** Busy-until tick of each dispatch context (command tag). */
+    /**
+     * Free-at ticks of the dispatch contexts (command tags), a FIFO
+     * read from oldestTag. Every tag charges the same ftlOverhead
+     * from a nondecreasing dispatch tick, so the tag dispatched
+     * longest ago frees first: the head is the earliest-free tag.
+     */
     std::vector<Tick> ctxFreeAt;
+    std::uint32_t oldestTag = 0;
 
     /**
      * Commands between admission and dispatch-done, addressed by the
@@ -265,13 +307,8 @@ class Controller : public EventSink
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
 
-    /**
-     * Out-of-order completion tracking. The drain only ever consumes
-     * the minimum outstanding index, so a min-heap beats an ordered
-     * set (no per-node allocation, cache-friendly array).
-     */
-    std::uint64_t nextInOrder = 0;
-    std::vector<std::uint64_t> completedAhead; //!< min-heap
+    /** Out-of-order completion tracking (ctrl.ooo_completions). */
+    CompletionRing completions;
 
     /** Epoch sampler; null (the default) schedules no sample events. */
     EpochSampler *sampler = nullptr;

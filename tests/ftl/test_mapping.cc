@@ -81,14 +81,38 @@ TEST(Mapping, FingerprintShadowRoundTrips)
 
 TEST(Mapping, EntryCostMatchesFigure8)
 {
-    // Figure 8: PPN plus a 1-byte popularity degree per LPN.
-    EXPECT_EQ(MappingTable::bytesPerEntry(), sizeof(Ppn) + 1);
+    // Figure 8: PPN plus a 1-byte popularity degree per LPN; the
+    // table stores the PPN in 32 bits.
+    EXPECT_EQ(MappingTable::bytesPerEntry(), 5u);
+}
+
+TEST(Mapping, HighestPagesRoundTrip)
+{
+    // The last LPN and PPN of a table keep their 64-bit values
+    // through the 32-bit storage.
+    MappingTable map(16, 32);
+    map.map(15, 31);
+    EXPECT_EQ(map.ppnOf(15), 31u);
+    EXPECT_EQ(map.lpnOf(31), 15u);
+    map.unmap(15);
+    EXPECT_EQ(map.ppnOf(15), kInvalidPpn);
+    EXPECT_EQ(map.lpnOf(31), kInvalidLpn);
 }
 
 TEST(MappingDeath, LogicalSpaceLargerThanPhysicalIsFatal)
 {
     EXPECT_EXIT({ MappingTable map(64, 32); },
                 testing::ExitedWithCode(1), "smaller than logical");
+}
+
+TEST(MappingDeath, DrivePastThe32BitCeilingIsFatalBeforeAllocating)
+{
+    // The check runs in the first member's initializer: a table that
+    // built its reverse map first would ask for 16 GiB here.
+    EXPECT_EXIT({ MappingTable map(1, kMaxDrivePages + 1); },
+                testing::ExitedWithCode(1),
+                "drive of 4294967296 pages exceeds the 4294967295-page "
+                "ceiling");
 }
 
 TEST(MappingDeath, EmptyLogicalSpaceIsFatal)

@@ -177,6 +177,34 @@ TEST(SsdConfig, IdealAcceptsZeroCapacity)
     cfg.validate();
 }
 
+// The page tables store page numbers in 32 bits. The checks below
+// only validate configs; none builds an Ssd, so nothing drive-sized
+// is allocated.
+TEST(SsdConfigDeath, DrivePastThe32BitCeilingIsFatal)
+{
+    // Table I structure: 2^17 pages per block-per-plane step, so
+    // 32768 blocks per plane is exactly 2^32 pages, one too many.
+    SsdConfig cfg = SsdConfig::forFootprint(10'000, SystemKind::MqDvp);
+    cfg.geom = Geometry::tableI(32768);
+    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                "drive of 4294967296 pages exceeds the 4294967295-page "
+                "ceiling");
+
+    EXPECT_EXIT(
+        (void)SsdConfig::forFootprint(std::uint64_t{1} << 32,
+                                      SystemKind::Baseline),
+        testing::ExitedWithCode(1), "-page ceiling of 32-bit page");
+}
+
+TEST(SsdConfig, DriveBelowTheCeilingValidates)
+{
+    SsdConfig cfg = SsdConfig::forFootprint(10'000, SystemKind::MqDvp);
+    cfg.geom = Geometry::tableI(32767);
+    ASSERT_LT(cfg.geom.totalPages(), kMaxDrivePages);
+    cfg.logicalPages = cfg.geom.totalPages() / 2;
+    cfg.validate();
+}
+
 TEST(SsdConfigDeath, EmptyFootprintIsFatal)
 {
     EXPECT_EXIT(

@@ -8,9 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
+
 #include "sim/experiment.hh"
 #include "sim/ssd.hh"
 #include "trace/generator.hh"
+#include "util/random.hh"
 
 namespace zombie
 {
@@ -241,6 +248,75 @@ TEST(Controller, SingleDieCompletesInSubmissionOrder)
     const SimResult r = ssd.result();
     EXPECT_EQ(r.writes, 8u);
     EXPECT_EQ(r.oooCompletions, 0u);
+}
+
+/**
+ * The completion ring against the min-heap it replaced, on seeded
+ * scrambles of the completion order: each command completes a random
+ * delay after its submission slot, and a few stragglers complete
+ * thousands of slots late. The windows exceed the ring's initial 64
+ * bits, so it grows mid-run with set bits to re-lay.
+ */
+TEST(CompletionRing, MatchesMinHeapReferenceOnScrambledOrders)
+{
+    constexpr std::uint64_t kCommands = 20'000;
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+        Xoshiro256 rng(seed);
+        const std::uint64_t window = seed % 2 ? 300 : 3000;
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> done;
+        for (std::uint64_t idx = 0; idx < kCommands; ++idx) {
+            std::uint64_t delay = rng() % window;
+            if (rng() % 500 == 0)
+                delay += 5000 + rng() % 15'000; // straggler
+            done.emplace_back(idx + delay, idx);
+        }
+        std::sort(done.begin(), done.end());
+
+        CompletionRing ring(64);
+        std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
+                            std::greater<>>
+            ahead;
+        std::uint64_t ref_next = 0;
+        std::uint64_t ooo = 0;
+        for (const auto &[tick, idx] : done) {
+            const bool in_order = idx == ref_next;
+            if (in_order) {
+                ++ref_next;
+                while (!ahead.empty() && ahead.top() == ref_next) {
+                    ahead.pop();
+                    ++ref_next;
+                }
+            } else {
+                ahead.push(idx);
+                ++ooo;
+            }
+            ASSERT_EQ(ring.complete(idx), in_order)
+                << "seed " << seed << " idx " << idx;
+            ASSERT_EQ(ring.nextInOrder(), ref_next)
+                << "seed " << seed << " idx " << idx;
+        }
+        EXPECT_EQ(ring.nextInOrder(), kCommands);
+        EXPECT_GT(ooo, 0u);
+        EXPECT_GT(ring.capacity(), 64u) << "seed " << seed;
+    }
+}
+
+TEST(CompletionRing, RunsAcrossWordAndRingBoundaries)
+{
+    // Complete 1..199 ahead of 0 in a 64-bit ring: the run crosses
+    // three words after two doublings, then 0 releases it at once.
+    CompletionRing ring(64);
+    for (std::uint64_t idx = 1; idx < 200; ++idx)
+        EXPECT_FALSE(ring.complete(idx));
+    EXPECT_EQ(ring.capacity(), 256u);
+    EXPECT_TRUE(ring.complete(0));
+    EXPECT_EQ(ring.nextInOrder(), 200u);
+    // The ring wraps: indices past its capacity reuse cleared bits.
+    for (std::uint64_t idx = 201; idx < 456; ++idx)
+        EXPECT_FALSE(ring.complete(idx));
+    EXPECT_EQ(ring.capacity(), 256u);
+    EXPECT_TRUE(ring.complete(200));
+    EXPECT_EQ(ring.nextInOrder(), 456u);
 }
 
 } // namespace

@@ -204,5 +204,51 @@ TEST_F(StreamReplayTest, PrefetchedHeapScalesWithFootprintNotRecords)
         << " allocs at 5k records vs " << large << " at 40k";
 }
 
+/**
+ * A --no-compact replay sizes its drive from the largest LPN, so one
+ * record at page 2^39 - 1 asks for a drive of over 2^39 pages, past
+ * the 32-bit page tables' ceiling. The scan and the drive sizing
+ * must end in the ceiling's zombie_fatal (exit 1), not in
+ * std::bad_alloc (exit 134). Neither test builds an Ssd, so nothing
+ * sized by the drive is allocated before the check fires.
+ */
+void
+expectUncompactedReplayFatal(ExternalFormat format,
+                             const std::string &line)
+{
+    const std::string path = test::uniqueTempPath("high_lpn.trace");
+    {
+        std::ofstream out(path);
+        out << line << '\n';
+    }
+    ExternalTraceConfig cfg;
+    cfg.path = path;
+    cfg.format = format;
+    cfg.compact = false;
+    EXPECT_EXIT(
+        {
+            const ScannedTrace scan = scanExternalTrace(cfg);
+            (void)driveConfig(scan.footprintPages, SystemKind::Baseline,
+                              ExperimentOptions{});
+        },
+        testing::ExitedWithCode(1),
+        "pages exceeds the 4294967295-page ceiling of 32-bit page "
+        "tables");
+    std::remove(path.c_str());
+}
+
+TEST(UncompactedReplayDeath, NativeRecordPastTheCeilingIsFatal)
+{
+    expectUncompactedReplayFatal(
+        ExternalFormat::Native,
+        "0 W 549755813887 0123456789abcdef0123456789abcdef 1");
+}
+
+TEST(UncompactedReplayDeath, CsvRecordPastTheCeilingIsFatal)
+{
+    expectUncompactedReplayFatal(ExternalFormat::GenericCsv,
+                                 "549755813887,4096,W,0");
+}
+
 } // namespace
 } // namespace zombie
