@@ -145,6 +145,20 @@ for preset in $presets; do
     diff -u tests/golden/smoke/multi_tenant.txt \
         "$bindir/multi_tenant.smoke.txt"
 
+    # Saturated smoke: hadoop on baseline at depth 32 runs GC-bound,
+    # so die backlogs reach 10^5 ops (179,559 at the peak) and a few
+    # gaps between a die's completions are none of the back-to-back
+    # times: the one golden that reaches the far end of the gap-coded
+    # backlog window (DESIGN.md section 7.8). Its StatSet block
+    # hashes (FNV-1a 64) to 54105b47a30efce6, the digest
+    # benchmark/digests.txt records for hadoop-base-qd32 at seed 42.
+    echo "==> saturated smoke [$preset]"
+    "$bindir"/examples/simulate_trace --workload hadoop \
+        --system baseline --requests 2000000 --queue-depth 32 \
+        --seed 42 > "$bindir/hadoop_saturated.smoke.txt"
+    diff -u tests/golden/smoke/hadoop_saturated.txt \
+        "$bindir/hadoop_saturated.smoke.txt"
+
     # External-trace replay smoke: generate a 50k-record generic-CSV
     # fixture with awk (pure arithmetic, so the bytes are identical
     # on every host), stream it through the trace frontend

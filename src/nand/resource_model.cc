@@ -14,7 +14,11 @@ ResourceModel::ResourceModel(const Geometry &geometry,
       dieBusyUntil(geom.totalDies(), 0),
       channelBusyTotal(geom.channels(), 0),
       dieBusyTotal(geom.totalDies(), 0),
-      dieOutstanding(geom.totalDies())
+      dieWindows(geom.totalDies()),
+      gapTicks{times.commandOverhead + times.readLatency +
+                   times.pageTransfer,
+               times.programLatency,
+               times.commandOverhead + times.eraseLatency}
 {
     // Group size for the busy-until minima: halve the per-channel
     // die count down to <= 16 dies per group so a group rescan stays
@@ -26,12 +30,17 @@ ResourceModel::ResourceModel(const Geometry &geometry,
     // A die's backlog window peaks when paced GC stacks a few
     // blocks' worth of relocation ops behind the host stream; two
     // blocks of read/program pairs bounds every observed workload
-    // with a wide margin. Reserving up front keeps the steady-state
-    // request path allocation-free (DESIGN.md section 7.10); a
-    // pathological backlog beyond this merely regrows the ring.
+    // with a wide margin. Gaps outside the three back-to-back times
+    // are rare (38 in 13M on a saturated hadoop run), so their FIFO
+    // gets a small reserve. Reserving up front keeps the
+    // steady-state request path allocation-free (DESIGN.md section
+    // 7.10); a pathological backlog beyond this merely regrows a
+    // ring.
     const std::size_t window = 4ul * geom.pagesPerBlock();
-    for (RingBuffer<Tick> &out : dieOutstanding)
-        out.reserve(window);
+    for (DieWindow &w : dieWindows) {
+        w.gaps.reserve(window);
+        w.oddGaps.reserve(16);
+    }
 }
 
 namespace
@@ -132,7 +141,7 @@ ResourceModel::scheduleOp(FlashOp op, Ppn ppn, Tick earliest, bool gc)
       }
     }
     updateGroupMin(die, die_was);
-    noteDieIssue(die, earliest, completion);
+    noteDieIssue(die, earliest, die_was, completion);
     if (tracer)
         tracer->span(static_cast<std::uint32_t>(die), opSpanName(op),
                      gc ? "gc" : hostCategory, die_start, completion);
@@ -178,7 +187,7 @@ ResourceModel::registerStats(StatRegistry &registry) const
 }
 
 void
-ResourceModel::noteDieIssue(std::uint64_t die, Tick issued,
+ResourceModel::noteDieIssue(std::uint64_t die, Tick issued, Tick die_was,
                             Tick completion)
 {
     // Ops already complete when this one was issued have retired;
@@ -186,38 +195,45 @@ ResourceModel::noteDieIssue(std::uint64_t die, Tick issued,
     // serialize, so completions stay sorted no matter where the
     // window is cut). Observation only: no busy-until horizon moves
     // here.
-    RingBuffer<Tick> &out = dieOutstanding[die];
-    while (!out.empty() && out.front() <= issued)
-        out.pop_front();
-    out.push_back(completion);
-    backlogHigh = std::max<std::uint64_t>(backlogHigh, out.size());
+    DieWindow &w = dieWindows[die];
+    while (w.count > 0 && w.oldest <= issued) {
+        if (--w.count == 0)
+            break;
+        const std::uint8_t code = w.gaps.front();
+        w.gaps.pop_front();
+        if (code != 0) {
+            w.oldest += gapTicks[code - 1];
+        } else {
+            w.oldest += w.oddGaps.front();
+            w.oddGaps.pop_front();
+        }
+    }
+    if (w.count == 0) {
+        w.oldest = completion;
+    } else {
+        // The window's newest completion is the die's busy-until
+        // before this op, so the gap follows from die_was.
+        const Tick gap = completion - die_was;
+        std::uint8_t code = 0;
+        for (std::size_t i = 0; i < gapTicks.size(); ++i) {
+            if (gapTicks[i] == gap) {
+                code = static_cast<std::uint8_t>(i + 1);
+                break;
+            }
+        }
+        w.gaps.push_back(code);
+        if (code == 0)
+            w.oddGaps.push_back(gap);
+    }
+    ++w.count;
+    backlogHigh = std::max(backlogHigh, w.count);
 }
 
 std::uint32_t
 ResourceModel::dieBacklog(std::uint64_t die) const
 {
-    zombie_assert(die < dieOutstanding.size(),
-                  "die index out of bounds");
-    return static_cast<std::uint32_t>(dieOutstanding[die].size());
-}
-
-std::uint32_t
-ResourceModel::pendingAt(std::uint64_t die, Tick now) const
-{
-    zombie_assert(die < dieOutstanding.size(),
-                  "die index out of bounds");
-    const RingBuffer<Tick> &out = dieOutstanding[die];
-    // Completions are sorted; count the suffix strictly after now
-    // (upper_bound over the ring by index).
-    std::size_t lo = 0, hi = out.size();
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (out[mid] <= now)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return static_cast<std::uint32_t>(out.size() - lo);
+    zombie_assert(die < dieWindows.size(), "die index out of bounds");
+    return static_cast<std::uint32_t>(dieWindows[die].count);
 }
 
 Tick

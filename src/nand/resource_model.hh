@@ -20,6 +20,7 @@
 #ifndef ZOMBIE_NAND_RESOURCE_MODEL_HH
 #define ZOMBIE_NAND_RESOURCE_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -95,14 +96,6 @@ class ResourceModel
      */
     std::uint32_t dieBacklog(std::uint64_t die) const;
 
-    /**
-     * Ops on @p die still incomplete at @p now. Exact for @p now at
-     * or beyond the die's most recent issue point; earlier than that
-     * it is a lower bound (ops already retired from the backlog
-     * window are no longer counted).
-     */
-    std::uint32_t pendingAt(std::uint64_t die, Tick now) const;
-
     /** High-water mark of any die's backlog over the run. */
     std::uint64_t maxDieBacklog() const { return backlogHigh; }
 
@@ -142,8 +135,32 @@ class ResourceModel
     void registerStats(StatRegistry &registry) const;
 
   private:
-    /** Record one issued op's (issue-point, completion) pair. */
-    void noteDieIssue(std::uint64_t die, Tick issued, Tick completion);
+    /**
+     * One die's outstanding-op window: the completion ticks of ops
+     * issued to the die and still incomplete at its latest issue
+     * point, sorted (die ops serialize). It stores the oldest
+     * completion and, per later op, one byte naming the gap to the
+     * previous completion (DESIGN.md section 7.8): code k in 1..3 is
+     * a gap of gapTicks[k - 1], code 0 a gap held whole, in order,
+     * in oddGaps. The newest completion is the die's busy-until, so
+     * it is not stored. Flat rings: the window stops exercising the
+     * allocator once each ring reaches its high-water mark.
+     */
+    struct DieWindow
+    {
+        Tick oldest = 0;                //!< front completion
+        std::uint64_t count = 0;        //!< outstanding ops
+        RingBuffer<std::uint8_t> gaps;  //!< count - 1 gap codes
+        RingBuffer<Tick> oddGaps;       //!< one per code 0, in order
+    };
+
+    /**
+     * Record one issued op: retire the completions at or before
+     * @p issued, then append @p completion, which follows the die's
+     * previous busy-until @p die_was.
+     */
+    void noteDieIssue(std::uint64_t die, Tick issued, Tick die_was,
+                      Tick completion);
 
     /** Keep a die's group minimum current after its busy-until grew
      *  from @p die_was (see scheduleOp). */
@@ -166,14 +183,15 @@ class ResourceModel
     std::vector<Tick> channelBusyTotal;
     std::vector<Tick> dieBusyTotal;
 
+    /** Outstanding-op window per die (dieBacklog). */
+    std::vector<DieWindow> dieWindows;
+
     /**
-     * Per-die completion ticks of outstanding ops, sorted (die ops
-     * serialize, so completions arrive in nondecreasing order); the
-     * front is pruned at each issue against the new op's issue
-     * point. Flat rings: the sliding window stops exercising the
-     * allocator once each ring reaches its backlog high-water mark.
+     * The gaps codes 1..3 name: back-to-back die occupancy of a read
+     * (command + tR + transfer), a program (tPROG) and an erase
+     * (command + tBERS), from the timing model.
      */
-    std::vector<RingBuffer<Tick>> dieOutstanding;
+    std::array<Tick, 3> gapTicks;
 
     /** Backlog high-water mark across all dies (maxDieBacklog). */
     std::uint64_t backlogHigh = 0;
